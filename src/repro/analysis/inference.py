@@ -117,7 +117,7 @@ def instrumented_run(ctx: LintContext) -> InstrumentedRun | None:
             strategy=ctx.strategy,
             value_restriction=ctx.value_restriction,
             budget=ctx.budget,
-            inferencer_factory=factory,  # type: ignore[arg-type]
+            inferencer_factory=factory,
         )
     except (FreezeMLError, RecursionError):
         return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .kinds import KindEnv
 from .types import Type, ftv_set
 from ..errors import UnboundVariableError
 
@@ -12,12 +13,17 @@ class TypeEnv:
     """An immutable ordered mapping from term variables to types.
 
     Later bindings shadow earlier ones, as in the paper (``Gamma, x : A``).
+
+    ``_valid_under`` memoises ``Theta |- Gamma``: the kind environment
+    this environment last passed :func:`~repro.core.wellformed.env_well_formed`
+    under, or ``None``.  Every constructor below starts without a memo.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_valid_under")
 
     def __init__(self, bindings: Iterable[tuple[str, Type]] = ()):
         self._map: dict[str, Type] = dict(bindings)
+        self._valid_under: KindEnv | None = None
 
     @staticmethod
     def empty() -> "TypeEnv":
@@ -28,6 +34,7 @@ class TypeEnv:
         new_map = self._map.copy()
         new_map[name] = ty
         env._map = new_map
+        env._valid_under = None
         return env
 
     # -- scoped mutation (inference-internal) -------------------------------
@@ -43,6 +50,7 @@ class TypeEnv:
         """A private copy safe to mutate via :meth:`_push`/:meth:`_pop`."""
         env = TypeEnv.__new__(TypeEnv)
         env._map = dict(self._map)
+        env._valid_under = None
         return env
 
     def _push(self, name: str, ty: Type):

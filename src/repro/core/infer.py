@@ -35,7 +35,7 @@ Options (used by the paper's design discussions and our ablations):
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from .env import TypeEnv
 from .kinds import Kind, KindEnv
@@ -494,7 +494,7 @@ def infer_raw(
     delta: KindEnv | None = None,
     theta: KindEnv | None = None,
     *,
-    inferencer_factory: type[Inferencer] | None = None,
+    inferencer_factory: Callable[..., Inferencer] | None = None,
     **options,
 ) -> InferenceResult:
     """Run inference and return the raw result (env, subst, type, payload).

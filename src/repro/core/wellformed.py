@@ -129,7 +129,18 @@ def env_well_formed(kenv: KindEnv, tenv: TypeEnv) -> None:
     of the binding must have kind MONO in ``kenv``.  This is the invariant
     that prevents substitution from smuggling polymorphism into the
     environment.
+
+    The judgement depends only on ``kenv`` and ``tenv``, and both are
+    immutable, so a pass is memoised on ``tenv``: a call under a
+    ``kenv`` equal (entry for entry) to the one ``tenv`` last passed
+    under returns at once.  Only a passing check stores its ``kenv``;
+    a failing one raises on every call.  ``extend``,
+    ``copy_for_mutation`` and ``map_types`` return environments with no
+    memo, so a new environment is checked in full once.  Racing writers
+    are harmless: every value ever stored is a validated ``kenv``.
     """
+    if tenv._valid_under == kenv:
+        return
     for name, ty in tenv.items():
         check_kind(kenv, ty, Kind.POLY)
         for var in ftv(ty):
@@ -138,6 +149,7 @@ def env_well_formed(kenv: KindEnv, tenv: TypeEnv) -> None:
                     f"environment entry {name} : {ty} mentions type variable "
                     f"`{var}` of kind {Kind.POLY} (must be {Kind.MONO})"
                 )
+    tenv._valid_under = kenv
 
 
 def is_env_well_formed(kenv: KindEnv, tenv: TypeEnv) -> bool:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .base import Engine
 from ..core.infer import VARIABLE, Inferencer, infer_raw
@@ -11,24 +12,30 @@ from ..core.terms import FrozenVar, Let, Term
 from ..errors import FreezeMLError
 
 
-def located_inferencer(spans: Any) -> type[Inferencer]:
+class _Located(Inferencer):
     """An :class:`Inferencer` whose failures carry the span of the
     innermost located subterm (the first frame the exception crosses)."""
+
+    def __init__(self, spans: Any, **options: Any):
+        super().__init__(**options)
+        self.spans = spans
+
+    def infer_node(self, delta, gamma, term):
+        try:
+            return super().infer_node(delta, gamma, term)
+        except FreezeMLError as exc:
+            if exc.span is None:
+                span = self.spans.get(term)
+                if span is not None:
+                    exc.span = span
+            raise
+
+
+def located_inferencer(spans: Any) -> Callable[..., Inferencer]:
+    """The ``inferencer_factory`` that attaches ``spans`` to failures."""
     if spans is None:
         return Inferencer
-
-    class _Located(Inferencer):
-        def infer_node(self, delta, gamma, term):
-            try:
-                return super().infer_node(delta, gamma, term)
-            except FreezeMLError as exc:
-                if exc.span is None:
-                    span = spans.get(term)
-                    if span is not None:
-                        exc.span = span
-                raise
-
-    return _Located
+    return partial(_Located, spans)
 
 
 class FreezeMLEngine(Engine):

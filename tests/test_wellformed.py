@@ -3,6 +3,8 @@
 
 import pytest
 
+from repro.api import Session
+from repro.core import wellformed
 from repro.core.env import TypeEnv
 from repro.core.kinds import Kind, KindEnv
 from repro.core.wellformed import (
@@ -68,6 +70,66 @@ class TestEnvWellFormed:
     def test_unbound_var_rejected(self):
         env = TypeEnv([("x", t("a"))])
         assert not is_env_well_formed(KindEnv.empty(), env)
+
+
+class TestEnvWellFormedMemo:
+    """A pass of ``Theta |- Gamma`` is memoised on the immutable
+    environment; failures and new environments are always re-checked."""
+
+    def test_failure_raises_every_time(self):
+        env = TypeEnv([("x", t("a"))])
+        for _ in range(2):
+            with pytest.raises(KindError):
+                env_well_formed(KindEnv.empty(), env)
+
+    def test_pass_under_theta_does_not_cover_other_theta(self):
+        env = TypeEnv([("x", t("a -> Int"))])
+        env_well_formed(flexible(a="mono"), env)
+        with pytest.raises(KindError):
+            env_well_formed(KindEnv.empty(), env)  # `a` missing
+        with pytest.raises(KindError):
+            env_well_formed(flexible(a="poly"), env)  # `a` polymorphic
+        env_well_formed(flexible(a="mono"), env)
+
+    def test_derived_environments_carry_no_memo(self):
+        theta = flexible(a="mono")
+        env = TypeEnv([("x", t("a -> Int"))])
+        env_well_formed(theta, env)
+        derived = [
+            env.extend("y", t("b")),
+            env.map_types(lambda ty: t("b")),
+        ]
+        scratch = env.copy_for_mutation()
+        scratch._push("y", t("b"))
+        derived.append(scratch)
+        for other in derived:
+            with pytest.raises(KindError):
+                env_well_formed(theta, other)
+
+    def test_define_with_rigid_residual_then_check(self):
+        session = Session()
+        assert session.check("choose id").ok
+        defined = session.define("c", "choose id")  # value-restricted
+        assert defined.ok and len(session.delta) == 1
+        result = session.check("c")
+        assert result.ok, result.diagnostics
+        assert session.check("c (fun y -> y)").ok
+
+    def test_prelude_checked_once_per_session(self, monkeypatch):
+        # Deterministic work count: each request builds a new but equal
+        # `Delta, Theta`, so only the first of 50 checks walks Gamma.
+        calls = []
+        real = wellformed.check_kind
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wellformed, "check_kind", counting)
+        session = Session()
+        for _ in range(50):
+            assert session.fork().check("choose id (fun y -> y)").ok
+        assert len(calls) == len(session.env)
 
 
 class TestSplitAnnotation:
