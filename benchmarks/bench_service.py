@@ -61,19 +61,24 @@ def test_bench_cache_miss_path(benchmark):
 def test_bench_cache_hit_path(benchmark):
     """The warm path: the same batch after one priming run -- every
     response is a cache hit.  The speedup versus the miss row above is
-    the cache's whole value proposition; assert it holds even in this
-    run before handing the timing to pytest-benchmark."""
+    the cache's whole value proposition: the warm pass must be answered
+    from the cache alone (counted, not timed -- a wall-clock comparison
+    flakes on a loaded host), and the cold/warm ratio is recorded in
+    ``extra_info``."""
     service = TypecheckService(SessionConfig(), cache=True)
     try:
         started = time.perf_counter()
         service.check_many(BATCH)  # prime (the one miss pass)
         cold = time.perf_counter() - started
+        hits, misses = service.stats.hits, service.stats.misses
 
         started = time.perf_counter()
         warmed = service.check_many(BATCH)
         warm = time.perf_counter() - started
         assert all(r.cached for r in warmed)
-        assert warm < cold, (warm, cold)
+        assert service.stats.hits - hits == len(BATCH)
+        assert service.stats.misses == misses
+        benchmark.extra_info["cold_warm_ratio"] = round(cold / warm, 1)
 
         responses = benchmark(service.check_many, BATCH)
     finally:

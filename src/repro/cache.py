@@ -47,6 +47,19 @@ Design constraints, in order:
   A stored row that no longer decodes (torn write that SQLite itself
   survived) is deleted and served as a miss the same way.
 
+* **Durability: write-ahead log, ``synchronous=NORMAL``.**  Because
+  every row is recomputable, the store trades power-loss durability
+  for a write path without ``fsync``: a commit appends to
+  ``<path>-wal`` and only checkpoints (which fold the log back into
+  ``<path>``) sync the disk.  An application crash loses no committed
+  verdict; an OS crash or power loss can drop the last few -- each a
+  cache miss, recomputed on demand -- but never corrupts the store or
+  serves a wrong verdict.  The ``<path>-wal`` and ``<path>-shm``
+  companions belong to the database (quarantine moves them along to
+  ``<path>.corrupt-<n>-wal``/``-shm``), and the shared-memory index
+  means the file must live on a local filesystem, not a network
+  mount.  Readers do not block the writer.
+
 The cache is safe to share between threads (one connection guarded by
 a lock; the server's broker threads and event loop both touch it) and
 between processes (SQLite's own file locking; the access counter is
@@ -184,6 +197,8 @@ class PersistentCache:
         itself is lazy -- the first ``PRAGMA`` is what reads the
         header)."""
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:
             (version,) = self._conn.execute("PRAGMA user_version").fetchone()
             if version not in (0, SCHEMA_VERSION):
@@ -202,8 +217,10 @@ class PersistentCache:
         return f"{self.path}.corrupt-{n}"
 
     def _rebuild(self) -> str | None:
-        """Quarantine the corrupt file by rename and reconnect to a
-        fresh empty store.  Returns the quarantine path (``None`` for
+        """Quarantine the corrupt file by rename, together with any
+        ``-wal``/``-shm`` companions another connection left behind (the
+        fresh store must not open next to a stale log), and reconnect to
+        a fresh empty store.  Returns the quarantine path (``None`` for
         ``:memory:``).  Caller holds the lock (or is ``__init__``)."""
         if self._conn is not None:
             try:
@@ -214,7 +231,9 @@ class PersistentCache:
         quarantined: str | None = None
         if self.path != ":memory:" and os.path.exists(self.path):
             quarantined = self._quarantine_path()
-            os.replace(self.path, quarantined)
+            for suffix in ("", "-wal", "-shm"):
+                if os.path.exists(self.path + suffix):
+                    os.replace(self.path + suffix, quarantined + suffix)
         self.rebuilds += 1
         self._connect()
         return quarantined
@@ -235,25 +254,27 @@ class PersistentCache:
                 if row is None:
                     self.misses += 1
                     return None
+                try:
+                    decoded: Result | None = decode_result(row[0])
+                except (ValueError, KeyError, TypeError):
+                    decoded = None
                 with self._conn:
-                    self._conn.execute(
-                        "UPDATE verdicts SET seq = "
-                        "(SELECT COALESCE(MAX(seq), 0) + 1 FROM verdicts) "
-                        "WHERE key = ?",
-                        (key,),
-                    )
+                    if decoded is None:
+                        # A torn row SQLite itself survived: drop it, miss.
+                        self._conn.execute(
+                            "DELETE FROM verdicts WHERE key = ?", (key,)
+                        )
+                    else:
+                        self._conn.execute(
+                            "UPDATE verdicts SET seq = "
+                            "(SELECT COALESCE(MAX(seq), 0) + 1 FROM verdicts) "
+                            "WHERE key = ?",
+                            (key,),
+                        )
             except sqlite3.DatabaseError:
                 self._rebuild()
-                self.misses += 1
-                return None
-            try:
-                decoded = decode_result(row[0])
-            except (ValueError, KeyError, TypeError):
-                # A torn row SQLite itself survived: drop it, miss.
-                with self._conn:
-                    self._conn.execute(
-                        "DELETE FROM verdicts WHERE key = ?", (key,)
-                    )
+                decoded = None
+            if decoded is None:
                 self.misses += 1
                 return None
             self.hits += 1
@@ -319,7 +340,10 @@ class PersistentCache:
     def flush(self) -> None:
         """Commit any write the connection still holds open (the
         drain-clean shutdown path calls this before exiting; writes are
-        normally committed per-``put``, so this is a cheap no-op)."""
+        normally committed per-``put``, so this is a cheap no-op).  A
+        commit lands in ``<path>-wal`` without ``fsync``: it survives
+        this process exiting, not a power loss (see the module
+        docstring)."""
         with self._lock:
             try:
                 self._conn.commit()

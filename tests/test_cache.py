@@ -10,7 +10,11 @@ dispatch path.
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,30 @@ from repro.service import FaultPlan, SessionConfig, TypecheckService
 def fresh_results(*sources: str) -> list[Result]:
     session = Session()
     return [session.fork().check(source) for source in sources]
+
+
+class ExplodingConnection:
+    """Stands in for a connection whose file went bad mid-run: every
+    statement raises the error SQLite gives for a corrupt image."""
+
+    def execute(self, *args):
+        raise sqlite3.DatabaseError("database disk image is malformed")
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def explode(cache: PersistentCache, connection=None) -> None:
+    """Swap ``cache``'s live connection for an exploding one."""
+    real = cache._conn
+    cache._conn = connection or ExplodingConnection()
+    real.close()
 
 
 class TestRoundTrip:
@@ -134,6 +162,58 @@ class TestPersistentCache:
             assert len(cache) == 0
 
 
+class TestJournalMode:
+    """The durable tier runs in write-ahead-log mode at
+    ``synchronous=NORMAL``: commits append to the log without fsync."""
+
+    def test_file_backed_cache_uses_wal_at_normal_sync(self, tmp_path):
+        with PersistentCache(tmp_path / "v.sqlite") as cache:
+            conn = cache._conn
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert conn.execute("PRAGMA synchronous").fetchone() == (1,)
+
+    def test_memory_cache_answers_memory(self):
+        with PersistentCache(":memory:") as cache:
+            mode = cache._conn.execute("PRAGMA journal_mode").fetchone()
+            assert mode == ("memory",)
+
+    def test_another_process_writes_while_this_one_reads(self, tmp_path):
+        # Readers do not block the writer.  A lock error would be an
+        # OperationalError, itself a DatabaseError: had the child been
+        # blocked, it would have quarantined a healthy file.
+        path = tmp_path / "v.sqlite"
+        with PersistentCache(path) as cache:
+            assert cache.get("k") is None
+            reader = sqlite3.connect(path)  # a read held open meanwhile
+            reader.execute("BEGIN")
+            assert reader.execute("SELECT COUNT(*) FROM verdicts").fetchone() == (0,)
+            try:
+                child = subprocess.run(
+                    [
+                        sys.executable,
+                        "-c",
+                        "import sys\n"
+                        "from repro import Session\n"
+                        "from repro.cache import PersistentCache\n"
+                        "with PersistentCache(sys.argv[1]) as cache:\n"
+                        "    cache.put('k', Session().check('poly ~id'))\n"
+                        "    print(cache.rebuilds)\n",
+                        str(path),
+                    ],
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                )
+            finally:
+                reader.close()
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.strip() == "0"
+            stored = cache.get("k")
+            assert stored is not None and stored.type_str == "Int * Bool"
+            assert cache.rebuilds == 0
+
+
 class TestCorruptionRecovery:
     """File-level corruption must degrade to a cold cache, never crash.
 
@@ -204,17 +284,7 @@ class TestCorruptionRecovery:
         cache = PersistentCache(path)
         try:
             cache.put("k", result)
-
-            class ExplodingConnection:
-                def execute(self, *args):
-                    raise sqlite3.DatabaseError("database disk image is malformed")
-
-                def close(self):
-                    pass
-
-            real = cache._conn
-            cache._conn = ExplodingConnection()
-            real.close()
+            explode(cache)
             assert cache.get("k") is None  # miss, not an exception
             assert cache.rebuilds == 1
             assert cache.misses == 1
@@ -232,23 +302,7 @@ class TestCorruptionRecovery:
         (result,) = fresh_results("poly ~id")
         cache = PersistentCache(path)
         try:
-
-            class ExplodingConnection:
-                def execute(self, *args):
-                    raise sqlite3.DatabaseError("malformed")
-
-                def close(self):
-                    pass
-
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc_info):
-                    return False
-
-            real = cache._conn
-            cache._conn = ExplodingConnection()
-            real.close()
+            explode(cache)
             assert cache.put("k", result)  # quarantine, rebuild, retry
             assert cache.rebuilds == 1
             assert cache.get("k").to_dict() == result.to_dict()
@@ -269,6 +323,79 @@ class TestCorruptionRecovery:
             assert cache.misses == 1
             assert len(cache) == 0  # the torn row is gone
             assert cache.rebuilds == 0  # file-level store is fine
+
+    def test_corruption_while_dropping_a_torn_row_degrades_to_a_miss(
+        self, tmp_path
+    ):
+        # Regression: the torn-row DELETE ran outside the DatabaseError
+        # guard, so a file that went bad at that point raised out of get.
+        path = tmp_path / "v.sqlite"
+        (result,) = fresh_results("poly ~id")
+
+        class TornRowThenExploding(ExplodingConnection):
+            """Serves a torn row; the file goes bad as it is dropped."""
+
+            def execute(self, sql, *args):
+                if sql.startswith("DELETE"):
+                    return super().execute(sql, *args)
+                return self  # doubles as the cursor
+
+            def fetchone(self):
+                return ('{"torn": true}',)
+
+        cache = PersistentCache(path)
+        try:
+            cache.put("k", result)
+            explode(cache, TornRowThenExploding())
+            assert cache.get("k") is None  # miss, not an exception
+            assert (cache.rebuilds, cache.misses, cache.hits) == (1, 1, 0)
+            assert (tmp_path / "v.sqlite.corrupt-1").exists()
+            assert cache.put("k", result)
+            assert cache.get("k").to_dict() == result.to_dict()
+        finally:
+            cache.close()
+
+    def test_wal_companions_are_quarantined_with_the_file(self, tmp_path):
+        # A copy taken while a writer's connection is open leaves a
+        # populated -wal beside it.  The recency refresh logs the table
+        # pages but not page 1, so the overwritten header is what the
+        # next open reads.  A second connection stands in for another
+        # process holding the log open: without it SQLite removes the
+        # companions itself when the last connection closes.
+        source, path = tmp_path / "live.sqlite", tmp_path / "v.sqlite"
+        (result,) = fresh_results("poly ~id")
+        with PersistentCache(source) as writer:
+            for key in ("a", "b", "c"):
+                writer.put(key, result)
+        writer = sqlite3.connect(source)
+        try:
+            with writer:
+                writer.execute("UPDATE verdicts SET seq = seq + 1")
+            for suffix in ("", "-wal", "-shm"):
+                Path(f"{path}{suffix}").write_bytes(
+                    Path(f"{source}{suffix}").read_bytes()
+                )
+        finally:
+            writer.close()
+        wal = Path(f"{path}-wal").read_bytes()
+        assert wal  # populated: the refresh lives in the log
+        with path.open("r+b") as corrupt:
+            corrupt.write(b"not a database header" * 5)
+        holder = sqlite3.connect(path)
+        try:
+            with pytest.raises(sqlite3.DatabaseError):
+                holder.execute("PRAGMA user_version")
+            with PersistentCache(path) as cache:
+                assert cache.rebuilds == 1
+                assert len(cache) == 0
+                quarantined = tmp_path / "v.sqlite.corrupt-1"
+                assert quarantined.exists()
+                assert Path(f"{quarantined}-wal").read_bytes() == wal
+                assert Path(f"{quarantined}-shm").exists()
+                assert cache.put("k", result)
+                assert cache.get("k").to_dict() == result.to_dict()
+        finally:
+            holder.close()
 
     def test_service_startup_over_a_corrupt_file_serves_normally(
         self, tmp_path
