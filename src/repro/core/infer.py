@@ -40,7 +40,7 @@ from typing import Any, Callable
 from .env import TypeEnv
 from .kinds import Kind, KindEnv
 from .solver import Budget, SolverState
-from .subst import Subst, instantiation_from
+from .subst import Subst
 from .terms import (
     App,
     BoolLit,
@@ -293,12 +293,8 @@ class Inferencer:
                 ty = solver.zonk(ty)
             if not isinstance(ty, TForall):
                 return ty, (None if self._no_elab else elab.var(term.name, ty, ()))
-            prefix, body = split_foralls(ty)
-            fresh = self.supply.fresh_flexibles(len(prefix))
-            solver.declare_all(fresh, Kind.POLY)
-            type_args = tuple(TVar(f) for f in fresh)
-            inst = instantiation_from(prefix, type_args)
-            return inst(body), (
+            type_args, body = solver.instantiate(ty, self.supply)
+            return body, (
                 None if self._no_elab else elab.var(term.name, ty, type_args)
             )
 
@@ -378,13 +374,9 @@ class Inferencer:
         if self.strategy == ELIMINATOR and isinstance(fn_ty, TForall):
             # Eliminator instantiation: a polymorphic term in application
             # position is implicitly instantiated with fresh variables.
-            prefix, body = split_foralls(solver.zonk(fn_ty))
-            fresh = tuple(self.supply.fresh_flexible() for _ in prefix)
-            solver.declare_all(fresh, Kind.POLY)
-            inst = instantiation_from(prefix, [TVar(f) for f in fresh])
-            fn_ty = inst(body)
+            type_args, fn_ty = solver.instantiate(solver.zonk(fn_ty), self.supply)
             if not self._no_elab:
-                fn_p = elab.inst(fn_p, tuple(TVar(f) for f in fresh))
+                fn_p = elab.inst(fn_p, type_args)
 
         b = self.supply.fresh_flexible()
         solver.declare(b, Kind.POLY)

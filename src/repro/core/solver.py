@@ -109,6 +109,8 @@ from .types import (
     constructor_arity,
     ftv,
     ftv_set,
+    split_foralls,
+    tcon_unchecked,
     tvar_unchecked,
 )
 from ..errors import (
@@ -268,6 +270,50 @@ class SolverState:
         for name in names:
             kinds[name] = kind
             levels[name] = lvl
+
+    def instantiate(
+        self, ty: TForall, supply: NameSupply
+    ) -> tuple[tuple[TVar, ...], Type]:
+        """Instantiate the quantifier prefix of ``ty`` with fresh flexibles.
+
+        The ``Var`` rule of Figure 16 (and eliminator instantiation):
+        declare one fresh ``POLY`` variable per prefix binder and replace
+        the binders' free occurrences in the body.  Returns the fresh
+        variables (the type arguments, in prefix order) and the
+        instantiated body.
+
+        The renaming walk is compiled once per node (see
+        :func:`_compile_instantiation`) and cached on it, so each later
+        instantiation only rebuilds the spine above the prefix
+        variables.
+        """
+        template = ty._inst
+        if template is None:
+            template = _compile_instantiation(ty)
+            object.__setattr__(ty, "_inst", template)
+        arity, ops, binders = template
+        fresh = supply.fresh_flexibles(arity)
+        self.declare_all(fresh, Kind.POLY)
+        args = tuple(map(TVar, fresh))
+        if binders and not binders.isdisjoint(fresh):
+            # A binder inside the body spells a fresh name (only a type
+            # from outside this run can): capture-avoiding application.
+            prefix, body = split_foralls(ty)
+            return args, Subst(dict(zip(prefix, args))).apply(body)
+        vals: list[Type] = []
+        push = vals.append
+        for op, x, n in ops:
+            if op == _ARG:
+                push(args[x])
+            elif op == _KEEP:
+                push(x)
+            elif op == _CON:
+                new = tuple(vals[-n:])
+                del vals[-n:]
+                push(tcon_unchecked(x, new))
+            else:
+                push(TForall(x, vals.pop()))
+        return args, vals[-1]
 
     def undeclare_all(self, names) -> None:
         """``Theta - names`` (generalisation removes its binders)."""
@@ -939,3 +985,53 @@ class SolverState:
 
 _EMPTY_SET: frozenset[str] = frozenset()
 _MISSING = object()
+
+
+_ARG, _KEEP, _CON, _FORALL = range(4)
+
+
+def _compile_instantiation(
+    ty: TForall,
+) -> tuple[int, list[tuple], frozenset[str]]:
+    """Compile the renaming of ``ty``'s prefix binders in its body.
+
+    Returns ``(arity, ops, binders)``.  ``ops`` rebuild the body in
+    postfix order from the type arguments: ``(_ARG, i, 0)`` pushes the
+    ``i``-th argument, ``(_KEEP, node, 0)`` a subtree with no free prefix
+    binder, ``(_CON, con, n)`` and ``(_FORALL, var, 0)`` rebuild a node
+    from the values on top.  A binder that shadows a prefix name drops
+    it below.  ``binders`` are the binders on rebuilt paths: a fresh
+    name among them would be captured.  Iterative (explicit work
+    stack): a ``(node, index)`` pair visits a node, a bare node emits
+    its rebuild op after its children's.
+    """
+    prefix, body = split_foralls(ty)
+    ops: list[tuple] = []
+    binders: set[str] = set()
+    stack: list = [(body, {name: i for i, name in enumerate(prefix)})]
+    while stack:
+        frame = stack.pop()
+        if type(frame) is TCon:
+            ops.append((_CON, frame.con, len(frame.args)))
+            continue
+        if type(frame) is TForall:
+            ops.append((_FORALL, frame.var, 0))
+            continue
+        t, index = frame
+        if type(t) is TVar:
+            i = index.get(t.name)
+            ops.append((_KEEP, t, 0) if i is None else (_ARG, i, 0))
+            continue
+        if index.keys().isdisjoint(ftv_set(t)):
+            ops.append((_KEEP, t, 0))
+            continue
+        stack.append(t)
+        if type(t) is TCon:
+            for arg in reversed(t.args):
+                stack.append((arg, index))
+            continue
+        binders.add(t.var)
+        if t.var in index:
+            index = {k: v for k, v in index.items() if k != t.var}
+        stack.append((t.body, index))
+    return len(prefix), ops, frozenset(binders)

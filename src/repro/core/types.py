@@ -314,9 +314,14 @@ class TCon(Type):
 
 
 class TForall(Type):
-    """A universally quantified type ``forall a. A``."""
+    """A universally quantified type ``forall a. A``.
 
-    __slots__ = ("var", "body", "_ftv")
+    ``_inst`` caches the node's compiled prefix instantiation, built and
+    read by :meth:`repro.core.solver.SolverState.instantiate` (``None``
+    until first instantiated).
+    """
+
+    __slots__ = ("var", "body", "_ftv", "_inst")
 
     def __new__(cls, var: str, body: Type) -> "TForall":
         if INTERNING:
@@ -330,6 +335,7 @@ class TForall(Type):
         _SETATTR(t, "var", var)
         _SETATTR(t, "body", body)
         _SETATTR(t, "_ftv", None)
+        _SETATTR(t, "_inst", None)
         _SETATTR(t, "_hash", hash((var, body)) ^ _H_TFORALL)
         if INTERNING:
             ref = _Ref(t, _tforall_remove)

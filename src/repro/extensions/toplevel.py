@@ -89,40 +89,22 @@ def desugar_program(definitions: list[Definition], main: Term) -> Term:
     return term
 
 
-def parse_program(source: str) -> tuple[list[Definition], Term]:
-    """Parse the ``sig``/``def``/``main`` program format."""
-    signatures: dict[str, Type] = {}
-    definitions: list[Definition] = []
-    main: Term | None = None
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("sig "):
-            name, _, ty_src = line[4:].partition(":")
-            name = name.strip()
-            if not name or not ty_src.strip():
-                raise ParseError("malformed sig line", lineno, 1)
-            signatures[name] = parse_type(ty_src.strip())
-        elif line.startswith("def "):
-            lhs, _, rhs = line[4:].partition("=")
-            words = lhs.split()
-            if not words or not rhs.strip():
-                raise ParseError("malformed def line", lineno, 1)
-            name, params = words[0], tuple(words[1:])
-            definitions.append(
-                Definition(name, params, parse_term(rhs.strip()), signatures.get(name))
-            )
-        elif line.startswith("main"):
-            _, _, rhs = line.partition("=")
-            if not rhs.strip():
-                raise ParseError("malformed main line", lineno, 1)
-            main = parse_term(rhs.strip())
-        else:
-            raise ParseError(f"unrecognised program line: {line!r}", lineno, 1)
-    if main is None:
-        raise ParseError("program has no main")
-    return definitions, main
+#: Per definition, in a spanned read: the name token's span, the
+#: parameter tokens' spans, the right-hand side's span table and the
+#: column its text starts at.
+_DefLayout = tuple[Span, list[Span], SpanTable, int]
+
+
+def _is_main_line(line: str) -> bool:
+    """Is ``line`` (stripped) the ``main`` line?  Only the word ``main``
+    counts, as in ``repro.api._is_program``: ``mainly = 1`` does not."""
+    head = line.split(None, 1)[0]
+    return head == "main" or head.startswith("main=")
+
+
+def _lead(text: str) -> int:
+    """Length of ``text``'s leading whitespace."""
+    return len(text) - len(text.lstrip())
 
 
 def _relocated(exc: ParseError, lineno: int, column: int) -> ParseError:
@@ -135,6 +117,92 @@ def _relocated(exc: ParseError, lineno: int, column: int) -> ParseError:
         else exc.end_column
     )
     return ParseError(exc.raw_message, lineno, col, lineno, end_col)
+
+
+def _parse_in_line(parser, text: str, lineno: int, column: int):
+    """``parser(text.strip())``, with a parse error rebased onto the
+    program line; ``column`` is where ``text.strip()`` starts in it."""
+    try:
+        return parser(text.strip())
+    except ParseError as exc:
+        raise _relocated(exc, lineno, column) from exc
+
+
+def _parse_term_unspanned(source: str) -> tuple[Term, None]:
+    return parse_term(source), None
+
+
+def _read_program(
+    source: str, spanned: bool
+) -> tuple[
+    list[Definition],
+    Term,
+    list[_DefLayout],
+    tuple[SpanTable, int, int] | None,
+]:
+    """The one line reader behind :func:`parse_program` and
+    :func:`parse_program_spanned`.
+
+    Returns the definitions, ``main``, and -- only when ``spanned`` --
+    the layout of each definition and ``(spans, line, column)`` of the
+    ``main`` right-hand side.  A parse error inside a line is reported
+    at its true line and column either way.
+    """
+    signatures: dict[str, Type] = {}
+    definitions: list[Definition] = []
+    def_layout: list[_DefLayout] = []
+    main: Term | None = None
+    main_layout: tuple[SpanTable, int, int] | None = None
+    parse_rhs = parse_term_spanned if spanned else _parse_term_unspanned
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        indent = _lead(raw)
+        if line.startswith("sig "):
+            name, _, ty_src = line[4:].partition(":")
+            name = name.strip()
+            if not name or not ty_src.strip():
+                raise ParseError("malformed sig line", lineno, 1)
+            ty_column = indent + 4 + line[4:].index(":") + 1 + _lead(ty_src) + 1
+            signatures[name] = _parse_in_line(parse_type, ty_src, lineno, ty_column)
+        elif line.startswith("def "):
+            lhs, _, rhs = line[4:].partition("=")
+            words = lhs.split()
+            if not words or not rhs.strip():
+                raise ParseError("malformed def line", lineno, 1)
+            name, params = words[0], tuple(words[1:])
+            rhs_column = indent + 4 + len(lhs) + 1 + _lead(rhs) + 1
+            body, body_spans = _parse_in_line(parse_rhs, rhs, lineno, rhs_column)
+            if body_spans is not None:
+                # 1-based columns of the name and parameter tokens in `raw`.
+                token_spans = [
+                    Span(lineno, indent + 4 + m.start() + 1, lineno, indent + 4 + m.end() + 1)
+                    for m in re.finditer(r"\S+", lhs)
+                ]
+                def_layout.append(
+                    (token_spans[0], token_spans[1:], body_spans, rhs_column)
+                )
+            definitions.append(Definition(name, params, body, signatures.get(name)))
+        elif _is_main_line(line):
+            pre, _, rhs = line.partition("=")
+            if not rhs.strip():
+                raise ParseError("malformed main line", lineno, 1)
+            rhs_column = indent + len(pre) + 1 + _lead(rhs) + 1
+            main, main_spans = _parse_in_line(parse_rhs, rhs, lineno, rhs_column)
+            if main_spans is not None:
+                main_layout = (main_spans, lineno, rhs_column)
+        else:
+            raise ParseError(f"unrecognised program line: {line!r}", lineno, 1)
+    if main is None:
+        raise ParseError("program has no main")
+    return definitions, main, def_layout, main_layout
+
+
+def parse_program(source: str) -> tuple[list[Definition], Term]:
+    """Parse the ``sig``/``def``/``main`` program format."""
+    definitions, main, _, _ = _read_program(source, spanned=False)
+    return definitions, main
 
 
 def parse_program_spanned(
@@ -151,69 +219,12 @@ def parse_program_spanned(
     the duplicate-definition lint (``FML404``) reports on.
 
     The analysis tier (:mod:`repro.analysis`) is the consumer;
-    :func:`parse_program` remains the span-free fast path.
+    :func:`parse_program` reads the same lines without recording spans.
     """
+    definitions, main, def_layout, main_layout = _read_program(source, spanned=True)
+    assert main_layout is not None
     spans = SpanTable(source)
-    signatures: dict[str, Type] = {}
-    definitions: list[Definition] = []
-    def_sites: list[tuple[str, Span]] = []
-    #: per definition: (name span, param spans, body table, body column)
-    def_layout: list[tuple[Span, list[Span], SpanTable, int]] = []
-    main: Term | None = None
-    main_layout: tuple[SpanTable, int, int] | None = None
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        indent = len(raw) - len(raw.lstrip())
-        if line.startswith("sig "):
-            name, _, ty_src = line[4:].partition(":")
-            name = name.strip()
-            if not name or not ty_src.strip():
-                raise ParseError("malformed sig line", lineno, 1)
-            signatures[name] = parse_type(ty_src.strip())
-        elif line.startswith("def "):
-            lhs, _, rhs = line[4:].partition("=")
-            words = lhs.split()
-            if not words or not rhs.strip():
-                raise ParseError("malformed def line", lineno, 1)
-            name, params = words[0], tuple(words[1:])
-            # 1-based columns of the name and parameter tokens in `raw`.
-            token_spans = [
-                Span(lineno, indent + 4 + m.start() + 1, lineno, indent + 4 + m.end() + 1)
-                for m in re.finditer(r"\S+", lhs)
-            ]
-            rhs_column = (
-                indent + 4 + len(lhs) + 1 + (len(rhs) - len(rhs.lstrip())) + 1
-            )
-            try:
-                body, body_spans = parse_term_spanned(rhs.strip())
-            except ParseError as exc:
-                raise _relocated(exc, lineno, rhs_column) from exc
-            definitions.append(
-                Definition(name, params, body, signatures.get(name))
-            )
-            def_sites.append((name, token_spans[0]))
-            def_layout.append(
-                (token_spans[0], token_spans[1:], body_spans, rhs_column)
-            )
-        elif line.startswith("main"):
-            pre, _, rhs = line.partition("=")
-            if not rhs.strip():
-                raise ParseError("malformed main line", lineno, 1)
-            rhs_column = (
-                indent + len(pre) + 1 + (len(rhs) - len(rhs.lstrip())) + 1
-            )
-            try:
-                main, main_spans = parse_term_spanned(rhs.strip())
-            except ParseError as exc:
-                raise _relocated(exc, lineno, rhs_column) from exc
-            main_layout = (main_spans, lineno, rhs_column)
-        else:
-            raise ParseError(f"unrecognised program line: {line!r}", lineno, 1)
-    if main is None or main_layout is None:
-        raise ParseError("program has no main")
-
+    def_sites = tuple((d.name, layout[0]) for d, layout in zip(definitions, def_layout))
     term = desugar_program(definitions, main)
     spans.root = term
 
@@ -240,7 +251,7 @@ def parse_program_spanned(
             spans.record(lam, param_span)
             lam = lam.body
         node = node.body
-    return term, spans, tuple(def_sites)
+    return term, spans, def_sites
 
 
 def infer_program(

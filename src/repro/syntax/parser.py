@@ -3,7 +3,7 @@
 Term grammar (loosest to tightest)::
 
     term     ::= 'fun' param+ '->' term
-               | 'let' ['rec'] bind '=' term 'in' term
+               | 'let' bind '=' term 'in' term
                | cons
     bind     ::= IDENT | '(' IDENT ':' type ')'
     cons     ::= append ('::' cons)?               -- desugars to `::`
@@ -15,6 +15,9 @@ Term grammar (loosest to tightest)::
                | '$' IDENT | '$' '(' term [':' type] ')'
                | '(' term [',' term] ')'           -- pairs desugar to `pair`
                | '[' [term (',' term)*] ']'        -- lists desugar to `::`/`[]`
+
+``cons`` down to ``app`` are parsed by one precedence-climbing loop
+(:meth:`_Parser.operators`), not one method per level.
 
 Type grammar::
 
@@ -49,8 +52,6 @@ from ..core.terms import (
     instantiate,
 )
 from ..core.types import TCon, TForall, TVar, Type, constructor_arity, product
-from typing import ClassVar
-
 from ..diagnostics import Span
 from ..errors import ParseError
 from .lexer import Token, tokenize
@@ -110,6 +111,21 @@ class SpanTable:
         return len(self._spans)
 
 
+#: Binary term operators: token kind -> (precedence, prelude constant,
+#: right-associative).  Application binds tighter than all of them and
+#: postfix ``@`` tighter still.
+_BINARY_OPS: dict[str, tuple[int, str, bool]] = {
+    "DCOLON": (1, CONS, True),
+    "DPLUS": (2, APPEND, False),
+    "PLUS": (3, PLUS, False),
+}
+
+#: Kinds that can start an atom, i.e. an application argument.
+_ATOM_START = frozenset(
+    {"IDENT", "INT", "TRUE", "FALSE", "STRING", "TILDE", "DOLLAR", "LPAREN", "LBRACKET"}
+)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], spans: SpanTable | None = None):
         self.tokens = tokens
@@ -117,9 +133,12 @@ class _Parser:
         self.spans = spans
 
     # -- plumbing -----------------------------------------------------------
+    #
+    # The trailing EOF token is a sentinel: ``next`` never moves past it,
+    # so ``pos`` always indexes a real token.
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         token = self.tokens[self.pos]
@@ -128,7 +147,7 @@ class _Parser:
         return token
 
     def expect(self, kind: str) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind}, found {token.kind} {token.text!r}",
@@ -140,10 +159,10 @@ class _Parser:
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def eat(self, kind: str) -> bool:
-        if self.at(kind):
+        if self.tokens[self.pos].kind == kind:
             self.next()
             return True
         return False
@@ -170,7 +189,7 @@ class _Parser:
             return self.lambda_()
         if self.at("LET"):
             return self.let()
-        return self.cons()
+        return self.operators(1)
 
     def lambda_(self) -> Term:
         start = self.peek()
@@ -217,82 +236,65 @@ class _Parser:
         body = self.term()
         return self._note(Let(name, bound, body), start)
 
-    def cons(self) -> Term:
-        start = self.peek()
-        left = self.append()
-        if self.eat("DCOLON"):
-            right = self.cons()
-            node = App(App(Var(CONS), left), right)
-            return self._note(node, start)
-        return left
+    def operators(self, min_prec: int) -> Term:
+        """Precedence climbing over ``::`` (loosest, right-associative),
+        ``++``, ``+`` and application, whose operands are postfix terms.
 
-    def append(self) -> Term:
-        start = self.peek()
-        left = self.sum()
-        while self.eat("DPLUS"):
-            right = self.sum()
-            left = self._note(App(App(Var(APPEND), left), right), start)
-        return left
-
-    def sum(self) -> Term:
-        start = self.peek()
-        left = self.app()
-        while self.eat("PLUS"):
-            right = self.app()
-            left = self._note(App(App(Var(PLUS), left), right), start)
-        return left
-
-    _ATOM_START: ClassVar[set[str]] = {
-        "IDENT",
-        "INT",
-        "TRUE",
-        "FALSE",
-        "STRING",
-        "TILDE",
-        "DOLLAR",
-        "LPAREN",
-        "LBRACKET",
-    }
-
-    def app(self) -> Term:
-        start = self.peek()
-        fn = self.postfix()
-        while self.peek().kind in self._ATOM_START:
-            fn = self._note(App(fn, self.postfix()), start)
-        return fn
+        Every node spans from the first token of its left operand to the
+        last token consumed, as the grammar's levels would record it.
+        """
+        tokens = self.tokens
+        start = tokens[self.pos]
+        left = self.postfix()
+        while True:
+            kind = tokens[self.pos].kind
+            if kind in _ATOM_START:
+                # Application binds tighter than any binary operator,
+                # so it extends the operand at every ``min_prec``.
+                left = self._note(App(left, self.postfix()), start)
+                continue
+            op = _BINARY_OPS.get(kind)
+            if op is None or op[0] < min_prec:
+                return left
+            prec, name, right_assoc = op
+            self.pos += 1
+            right = self.operators(prec if right_assoc else prec + 1)
+            left = self._note(App(App(Var(name), left), right), start)
 
     def postfix(self) -> Term:
-        start = self.peek()
+        start = self.tokens[self.pos]
         term = self.atom()
-        while self.eat("AT"):
+        while self.tokens[self.pos].kind == "AT":
+            self.pos += 1
             term = self._note(instantiate(term), start)
         return term
 
     def atom(self) -> Term:
-        token = self.peek()
-        if token.kind == "IDENT":
-            return self._note(Var(self.next().text), token)
-        if token.kind == "INT":
-            return self._note(IntLit(int(self.next().text)), token)
-        if token.kind == "TRUE":
-            self.next()
-            return self._note(BoolLit(True), token)
-        if token.kind == "FALSE":
-            self.next()
-            return self._note(BoolLit(False), token)
-        if token.kind == "STRING":
-            raw = self.next().text
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "IDENT":
+            self.pos += 1
+            return self._note(Var(token.text), token)
+        if kind == "INT":
+            self.pos += 1
+            return self._note(IntLit(int(token.text)), token)
+        if kind == "TRUE" or kind == "FALSE":
+            self.pos += 1
+            return self._note(BoolLit(kind == "TRUE"), token)
+        if kind == "STRING":
+            self.pos += 1
+            raw = token.text
             return self._note(
                 StrLit(raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")), token
             )
-        if token.kind == "TILDE":
-            self.next()
+        if kind == "TILDE":
+            self.pos += 1
             return self._note(FrozenVar(self.expect("IDENT").text), token)
-        if token.kind == "DOLLAR":
-            self.next()
+        if kind == "DOLLAR":
+            self.pos += 1
             return self._note(self.dollar(), token)
-        if token.kind == "LPAREN":
-            self.next()
+        if kind == "LPAREN":
+            self.pos += 1
             inner = self.term()
             if self.eat("COMMA"):
                 second = self.term()
@@ -300,8 +302,8 @@ class _Parser:
                 return self._note(App(App(Var(PAIR), inner), second), token)
             self.expect("RPAREN")
             return inner
-        if token.kind == "LBRACKET":
-            self.next()
+        if kind == "LBRACKET":
+            self.pos += 1
             elems: list[Term] = []
             if not self.at("RBRACKET"):
                 elems.append(self.term())

@@ -171,3 +171,54 @@ class TestTopLevelPrograms:
         from repro.core.infer import infer_type
 
         assert infer_type(term, PRELUDE) == t("Int")
+
+
+class TestProgramLineReader:
+    """``parse_program`` and ``parse_program_spanned`` share one line
+    reader: same lines accepted, same error positions."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f = 1\ndef h = f\n  def g = f (\nmain = g",
+            "def f = 1 +\nmain = f",
+            "def f = 1\nmain =  [1,",
+            "sig f :  Foo\ndef f = 1\nmain = f",
+            "  sig f : Int ->\ndef f = 1\nmain = f",
+        ],
+    )
+    def test_parse_errors_located_alike_with_and_without_lint(self, source):
+        from repro.api import Session
+
+        session = Session()
+        plain = session.check(source).diagnostics
+        linted = session.check(source, lint=True).diagnostics
+        assert [d.code for d in plain] == ["FML001"]
+        assert [d.to_dict() for d in plain] == [d.to_dict() for d in linted]
+
+    def test_error_in_a_later_def_line_points_into_that_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("def f = 1\ndef h = f\ndef g = f (\nmain = g")
+        assert (info.value.line, info.value.column) == (3, 12)
+
+    def test_error_in_a_signature_points_into_its_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("def g = 1\n  sig f :  Foo\ndef f = 1\nmain = f")
+        span = info.value
+        assert (span.line, span.column, span.end_column) == (2, 12, 15)
+
+    @pytest.mark.parametrize("line", ["main2 = f", "mainly = 1", "main_ = 2"])
+    def test_only_the_word_main_is_the_main_line(self, line):
+        from repro.extensions.toplevel import parse_program_spanned
+
+        source = f"def f = 1\nmain = f\n{line}"
+        for parse in (parse_program, parse_program_spanned):
+            with pytest.raises(ParseError, match="unrecognised program line") as info:
+                parse(source)
+            assert info.value.line == 3
+
+    @pytest.mark.parametrize("line", ["main = f", "main=f", "main =f", "  main = f"])
+    def test_main_line_spellings(self, line):
+        defs, main = parse_program(f"def f = 1\n{line}")
+        assert [d.name for d in defs] == ["f"]
+        assert main == e("f")
