@@ -1,7 +1,7 @@
 """The pass framework: contexts, registration, deterministic ordering.
 
 A lint *pass* is a function from a :class:`LintContext` -- the parsed
-term, its span table, and everything needed to re-run inference -- to a
+term, its span table, and everything needed to run inference -- to a
 stream of warning-severity :class:`~repro.diagnostics.Diagnostic`
 records.  Passes are registered declaratively (:func:`lint_pass`) with
 the stable ``FML4xx`` codes they may emit, so the registry doubles as
@@ -12,7 +12,7 @@ Two groups exist:
 
 * ``"syntactic"`` passes walk the term and its annotations; they run
   for every engine.
-* ``"inference"`` passes consult solver state (an instrumented re-run
+* ``"inference"`` passes consult solver state (one instrumented run
   of Figure 16 inference, shared across passes via
   :meth:`LintContext.inference`); they only run under the ``freezeml``
   engine, whose :class:`~repro.core.infer.Inferencer` they drive.
@@ -24,11 +24,6 @@ code and message, and every pass is required to emit messages that are
 pure functions of (source, config) -- machine-generated names
 (``%N``/``%tmpN``) must never appear in a message, because their
 counters depend on process history.
-
-The same traversal shape is the substrate the constraint-generation
-engine (ROADMAP item 1) and the incremental checker (item 3) will
-reuse: a registered pass over the spanned AST producing structured,
-ordered findings.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ class LintContext:
     ``def_sites`` carries the ordered top-level definition sites of the
     program format (empty for bare terms).  The inference-aware fields
     (``env`` through ``budget``) mirror the owning session so the
-    instrumented re-run sees exactly the typing context the check did.
+    instrumented run sees exactly the typing context the check did.
     """
 
     source: str
@@ -76,6 +71,9 @@ class LintContext:
     def_sites: tuple[tuple[str, Span], ...] = ()
     _inference: "InstrumentedRun | None | bool" = field(
         default=False, repr=False, compare=False
+    )
+    _unused: "tuple[Term, ...] | None" = field(
+        default=None, repr=False, compare=False
     )
 
     def span_of(self, node: "Term") -> Span | None:
@@ -93,6 +91,16 @@ class LintContext:
         memoised = self._inference
         assert not isinstance(memoised, bool)
         return memoised
+
+    def unused_binders(self) -> "tuple[Term, ...]":
+        """The ``let`` and lambda nodes whose variable is never used in
+        its scope, in pre-order (memoised: one walk serves both
+        ``FML401`` and ``FML402``)."""
+        if self._unused is None:
+            from .syntactic import unused_binders
+
+            self._unused = unused_binders(self.term)
+        return self._unused
 
 
 @dataclass(frozen=True)

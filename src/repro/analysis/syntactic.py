@@ -22,7 +22,7 @@ from ..core.terms import (
     Let,
     LetAnn,
     Term,
-    free_vars,
+    Var,
     subterms,
 )
 from ..core.types import TCon, TForall, Type, format_type, ftv_set
@@ -35,16 +35,63 @@ def _is_sugar_name(name: str) -> bool:
     return name.startswith("%")
 
 
+def unused_binders(term: Term) -> tuple[Term, ...]:
+    """The binder nodes -- ``let``, ``let ann`` and lambdas -- whose
+    variable occurs free nowhere in its scope (the body), in pre-order.
+
+    One linear, iterative walk: every binder gets a used flag, and each
+    variable occurrence marks the innermost binder of its name in scope.
+    The work stack holds terms to visit and binder indices to open
+    (``i``) or close (``~i``).
+    """
+    binders: list[Term] = []
+    names: list[str] = []
+    used: list[bool] = []
+    scope: dict[str, list[int]] = {}
+    stack: list[Term | int] = [term]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            if item >= 0:
+                scope.setdefault(names[item], []).append(item)
+            else:
+                scope[names[~item]].pop()
+        elif isinstance(item, (Var, FrozenVar)):
+            innermost = scope.get(item.name)
+            if innermost:
+                used[innermost[-1]] = True
+        elif isinstance(item, (Lam, LamAnn)):
+            index = len(binders)
+            binders.append(item)
+            names.append(item.param)
+            used.append(False)
+            push(~index)
+            push(item.body)
+            push(index)
+        elif isinstance(item, (Let, LetAnn)):
+            index = len(binders)
+            binders.append(item)
+            names.append(item.var)
+            used.append(False)
+            # The bound term sees the outer scope; only the body is in
+            # the binder's scope.
+            push(~index)
+            push(item.body)
+            push(index)
+            push(item.bound)
+        elif isinstance(item, App):
+            push(item.arg)
+            push(item.fn)
+    return tuple(node for node, hit in zip(binders, used) if not hit)
+
+
 @lint_pass("unused-let", group="syntactic", codes=("FML401",))
 def unused_let(ctx: LintContext) -> Iterator[Diagnostic]:
     """``FML401``: a ``let`` binding (including a desugared top-level
     ``def``) whose body never mentions the bound variable."""
-    for node in subterms(ctx.term):
-        if not isinstance(node, (Let, LetAnn)):
-            continue
-        if _is_sugar_name(node.var):
-            continue
-        if node.var not in free_vars(node.body):
+    for node in ctx.unused_binders():
+        if isinstance(node, (Let, LetAnn)) and not _is_sugar_name(node.var):
             yield warning(
                 "FML401",
                 f"let binding `{node.var}` is never used",
@@ -56,12 +103,8 @@ def unused_let(ctx: LintContext) -> Iterator[Diagnostic]:
 @lint_pass("unused-param", group="syntactic", codes=("FML402",))
 def unused_param(ctx: LintContext) -> Iterator[Diagnostic]:
     """``FML402``: a lambda parameter the body never mentions."""
-    for node in subterms(ctx.term):
-        if not isinstance(node, (Lam, LamAnn)):
-            continue
-        if _is_sugar_name(node.param):
-            continue
-        if node.param not in free_vars(node.body):
+    for node in ctx.unused_binders():
+        if isinstance(node, (Lam, LamAnn)) and not _is_sugar_name(node.param):
             yield warning(
                 "FML402",
                 f"lambda parameter `{node.param}` is never used",

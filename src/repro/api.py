@@ -48,7 +48,7 @@ state leaks between programs.  This is the serving-style entrypoint the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core.derivation import derive as _derive
 from .core.env import TypeEnv
@@ -60,6 +60,7 @@ from .core.types import TCon, TForall, TVar, Type, ftv, rename
 from .corpus.signatures import prelude
 from .diagnostics import Diagnostic, Span, diagnostic_from_error
 from .engines import ENGINES, Engine, get_engine
+from .engines.freezeml import FreezeMLEngine
 from .errors import FreezeMLError, RecursionLimitError
 from .extensions.toplevel import (
     desugar_program,
@@ -72,6 +73,9 @@ from .semantics.values import show_value
 from .syntax.parser import SpanTable, parse_term_spanned
 from .syntax.pretty import pretty_type
 from .translate import elaborate as _elaborate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .analysis.inference import InstrumentedRun
 
 STRATEGY_ALIASES = {
     "v": VARIABLE,
@@ -545,13 +549,22 @@ class Session:
             except RecursionError:
                 return self._fail("check", source, RecursionLimitError())
         warnings: tuple[Diagnostic, ...] = ()
+        run = None
         if lint:
             try:
-                warnings = self._lint_warnings(source, term, spans, program, def_sites)
+                warnings, run = self._lint_warnings(
+                    source, term, spans, program, def_sites
+                )
             except RecursionError:
                 warnings = ()  # lint must never take the check down
         try:
-            ty, shown = self._infer_term(term, spans, self._engine_impl)
+            if run is not None and type(self._engine_impl) is FreezeMLEngine:
+                # Lint's instrumented run is this engine's own inference
+                # under the same options: take its type, don't infer twice.
+                ty = normalise_type(run.result.ty)
+                shown = pretty_type(ty)
+            else:
+                ty, shown = self._infer_term(term, spans, self._engine_impl)
         except FreezeMLError as exc:
             return self._fail("check", source, exc, warnings=warnings)
         except RecursionError:
@@ -581,9 +594,11 @@ class Session:
         spans: SpanTable | None,
         program: bool,
         def_sites: tuple[tuple[str, Span], ...],
-    ) -> tuple[Diagnostic, ...]:
+    ) -> tuple[tuple[Diagnostic, ...], InstrumentedRun | None]:
         """Run the analysis tier under this session's exact typing
-        context (engine, strategy, value restriction, budget, env)."""
+        context (engine, strategy, value restriction, budget, env).
+        Returns the warnings and, under the ``freezeml`` engine, the
+        instrumented inference run (``None`` when it failed)."""
         from .analysis import LintContext, run_lint
 
         ctx = LintContext(
@@ -599,7 +614,8 @@ class Session:
             program=program,
             def_sites=def_sites,
         )
-        return run_lint(ctx)
+        warnings = run_lint(ctx)
+        return warnings, ctx.inference() if ctx.engine == "freezeml" else None
 
     def check_many(
         self, sources: Iterable[str], *, lint: bool = False

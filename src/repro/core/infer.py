@@ -332,7 +332,7 @@ class Inferencer:
                 body_ty = tcon_unchecked(ARROW, (param_ty, body_ty))
             return body_ty, body_p
 
-        if isinstance(term, Let):
+        if isinstance(term, (Let, LetAnn)):
             return self._infer_let(delta, gamma, term)
 
         if isinstance(term, FrozenVar):
@@ -359,9 +359,6 @@ class Inferencer:
             )
             return arrow(term.ann, body_ty), payload
 
-        if isinstance(term, LetAnn):
-            return self._infer_let_ann(delta, gamma, term)
-
         raise TypeError(f"not a term: {term!r}")
 
     def _infer_app(self, delta, gamma, term: App):
@@ -385,8 +382,36 @@ class Inferencer:
         payload = None if self._no_elab else elab.app(fn_p, arg_p, result_ty)
         return result_ty, payload
 
-    def _infer_let(self, delta, gamma, term: Let):
-        elab = self.elaborator
+    def _infer_let(self, delta, gamma, term: Let | LetAnn):
+        binders, var_ty, bound_p = self.let_binding(delta, gamma, term)
+        token = gamma._push(term.var, var_ty)
+        try:
+            body_ty, body_p = self.infer_node(delta, gamma, term.body)
+        finally:
+            gamma._pop(term.var, token)
+        if self._no_elab:
+            return body_ty, None
+        payload = self.elaborator.let(
+            term.var,
+            binders,
+            var_ty,
+            bound_p,
+            body_p,
+            annotated=isinstance(term, LetAnn),
+        )
+        return body_ty, payload
+
+    def let_binding(
+        self, delta: KindEnv, gamma: TypeEnv, term: Let | LetAnn
+    ) -> tuple[tuple[str, ...], Type, Any]:
+        """The binding half of the ``let`` rules: infer the bound term and
+        return ``(binders, A, payload)`` -- the quantified variables, the
+        type ``A`` the body sees in ``Gamma, x : A``, and the bound
+        term's elaboration payload.  An unannotated ``let`` generalises
+        (value restricted); an annotated one checks the bound term
+        against its annotation, which is then ``A``."""
+        if isinstance(term, LetAnn):
+            return self._check_let_ann(delta, gamma, term)
         solver = self.solver
         # The bound term is inferred one level deeper; every flexible
         # variable it creates carries that level unless binding lowered
@@ -418,22 +443,9 @@ class Inferencer:
             solver.undeclare_all(binders)
         else:
             solver.lower_to_current(candidates)
+        return binders, forall(binders, bound_ty), bound_p
 
-        var_ty = forall(binders, bound_ty)
-        token = gamma._push(term.var, var_ty)
-        try:
-            body_ty, body_p = self.infer_node(delta, gamma, term.body)
-        finally:
-            gamma._pop(term.var, token)
-        payload = (
-            None
-            if self._no_elab
-            else elab.let(term.var, binders, var_ty, bound_p, body_p)
-        )
-        return body_ty, payload
-
-    def _infer_let_ann(self, delta, gamma, term: LetAnn):
-        elab = self.elaborator
+    def _check_let_ann(self, delta, gamma, term: LetAnn):
         solver = self.solver
         binders, ann_body = self._split(term.ann, term.bound)
         delta_inner = delta.extend_all(binders, Kind.MONO)
@@ -459,20 +471,7 @@ class Inferencer:
         finally:
             solver.restore_rigid(saved)
             solver.leave_level()
-
-        token = gamma._push(term.var, term.ann)
-        try:
-            body_ty, body_p = self.infer_node(delta, gamma, term.body)
-        finally:
-            gamma._pop(term.var, token)
-        payload = (
-            None
-            if self._no_elab
-            else elab.let(
-                term.var, binders, term.ann, bound_p, body_p, annotated=True
-            )
-        )
-        return body_ty, payload
+        return binders, term.ann, bound_p
 
 
 # ---------------------------------------------------------------------------

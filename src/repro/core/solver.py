@@ -20,10 +20,6 @@ Design
 * ``store`` -- the binding store: flexible variable name -> the type it
   was solved to.  A variable is *either* in ``kinds`` (unsolved) *or* in
   ``store`` (solved), never both -- binding moves it across.
-* ``trail`` -- the names bound, in order.  (It once delimited the
-  bindings made under a quantifier for a post-hoc skolem-escape scan;
-  levels check escapes at bind time now -- see below -- and the trail
-  survives as a cheap observability/debugging record.)
 
 ``unify`` binds variables in place in near-constant time per binding;
 variable-to-variable chains are collapsed by path compression in
@@ -62,7 +58,7 @@ sweeps become per-variable comparisons:
   ``ftv(zonk(...))`` sweep over the ambient refined environment;
 * the skolem-escape premise of Figure 15 (``c not in ftv(theta)``) and
   the annotated-let premise (``ftv(theta2) # Delta'``) need no post-hoc
-  scan over the trail segment or the ambient variables at all.
+  scan over the bindings made or the ambient variables at all.
 
 Quantifier unification accordingly never substitutes binder -> skolem
 into the bodies: ``_unify`` threads per-side binder maps (binder name ->
@@ -163,7 +159,6 @@ class SolverState:
     __slots__ = (
         "kinds",
         "store",
-        "trail",
         "levels",
         "rigid_levels",
         "level",
@@ -179,7 +174,6 @@ class SolverState:
     def __init__(self, theta: KindEnv | None = None, *, budget: Budget | None = None):
         self.kinds: dict[str, Kind] = dict(theta.items()) if theta else {}
         self.store: dict[str, Type] = {}
-        self.trail: list[str] = []
         #: Remaining fuel (None = unlimited).  The hot paths guard every
         #: charge behind ``fuel is not None`` so an unbudgeted run pays
         #: one predicate per step, nothing more.
@@ -212,6 +206,25 @@ class SolverState:
         # type is the same object everywhere, so repeated zonks of a hot
         # environment are one dict hit after the first.
         self._zonk_memo: dict[Type, Type] = {}
+
+    def copy(self) -> "SolverState":
+        """An independent snapshot of this state: store, kinds, levels,
+        rigid stamps, zonk memo and the budget counters.  Continuing the
+        copy is exactly continuing this run from here."""
+        new = SolverState.__new__(SolverState)
+        new.kinds = dict(self.kinds)
+        new.store = dict(self.store)
+        new.levels = dict(self.levels)
+        new.rigid_levels = dict(self.rigid_levels)
+        new.level = self.level
+        new._clean = set(self._clean)
+        new._zonk_memo = dict(self._zonk_memo)
+        new.fuel = self.fuel
+        new.fuel_limit = self.fuel_limit
+        new.max_depth = self.max_depth
+        new.depth = self.depth
+        new.steps = self.steps
+        return new
 
     # -- deterministic work budget -------------------------------------------
 
@@ -435,8 +448,8 @@ class SolverState:
 
         The raw primitive under :meth:`_bind`; also used by clients that
         layer their own binding discipline (e.g. the ML baseline).
-        Propagates levels through the image, maintains the trail and
-        invalidates the zonk memo.
+        Propagates levels through the image and invalidates the zonk
+        memo.
         """
         free = ftv_set(image)
         if free:
@@ -445,7 +458,6 @@ class SolverState:
 
     def _record(self, name: str, image: Type) -> None:
         self.store[name] = image
-        self.trail.append(name)
         self._clean.clear()
         self._clean.add(name)
         self._zonk_memo.clear()

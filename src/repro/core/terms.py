@@ -217,16 +217,25 @@ def match_instantiate(term: Term) -> Term | None:
 
 
 def subterms(term: Term) -> Iterator[Term]:
-    """All subterms including the term itself, pre-order."""
-    yield term
-    if isinstance(term, (Lam, LamAnn)):
-        yield from subterms(term.body)
-    elif isinstance(term, App):
-        yield from subterms(term.fn)
-        yield from subterms(term.arg)
-    elif isinstance(term, (Let, LetAnn)):
-        yield from subterms(term.bound)
-        yield from subterms(term.body)
+    """All subterms including the term itself, pre-order.
+
+    Iterative (an explicit stack): linear in the term's size, and its
+    nesting depth never meets the interpreter's recursion limit.
+    """
+    stack = [term]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        if isinstance(node, (Lam, LamAnn)):
+            push(node.body)
+        elif isinstance(node, App):
+            push(node.arg)
+            push(node.fn)
+        elif isinstance(node, (Let, LetAnn)):
+            push(node.body)
+            push(node.bound)
 
 
 def free_vars(term: Term) -> frozenset[str]:

@@ -45,6 +45,14 @@ class NameSupply:
         self._counter = itertools.count(1)
         self._prefix = prefix
 
+    def copy(self) -> "NameSupply":
+        """An independent supply that continues from this one's counter."""
+        start = next(self._counter)
+        self._counter = itertools.count(start)
+        new = NameSupply(self._prefix)
+        new._counter = itertools.count(start)
+        return new
+
     def fresh_flexible(self, hint: str = "") -> str:
         """Return a fresh flexible (unification) variable name."""
         if hint or self._prefix:

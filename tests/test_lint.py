@@ -18,14 +18,19 @@ from __future__ import annotations
 
 import json
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import GROUPS, LintContext, all_passes, run_lint
 from repro.api import Session
 from repro.cli import parse_check_args, run_check
+from repro.core.infer import Inferencer
 from repro.diagnostics import Severity
+from repro.engines.freezeml import FreezeMLEngine
 from repro.errors import (
     INFERENCE_WARNING_CODES,
     SYNTACTIC_WARNING_CODES,
@@ -36,6 +41,8 @@ from repro.service import CheckRequest, SessionConfig, TypecheckService
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "lint_examples.json"
+PROGRAMS_DIR = GOLDEN.parent / "lint_programs"
+PROGRAMS_GOLDEN = GOLDEN.parent / "lint_programs.json"
 
 
 def lint(source: str, **session_kwargs) -> list:
@@ -95,6 +102,42 @@ class TestSyntacticRules:
 
     def test_fml401_quiet_when_used(self):
         assert "FML401" not in codes(lint("let x = 1 in x"))
+
+    def test_fml401_bound_term_is_outside_the_binders_scope(self):
+        # The bound `x` is the lambda's: the let's own `x` is unused.
+        diags = lint("fun x -> let x = x in 1")
+        (d,) = at(diags, "FML401")
+        assert (d.span.line, d.span.column) == (1, 10)
+        assert "FML402" not in codes(diags)
+
+    def test_fml402_inner_binder_captures_the_occurrence(self):
+        diags = lint("fun x -> fun x -> x")
+        (d,) = at(diags, "FML402")
+        assert (d.span.line, d.span.column) == (1, 1)
+
+    def test_unused_binders_match_free_variables(self):
+        from repro.analysis.syntactic import unused_binders
+        from repro.core.terms import Lam, LamAnn, Let, LetAnn, free_vars, subterms
+        from repro.syntax.parser import parse_term
+
+        term = parse_term(
+            "let f = fun x -> fun y -> x in "
+            "let (g : Int -> Int) = fun z -> let z = 1 in z in "
+            "let f = f in fun (w : Int) -> let v = w in g 2"
+        )
+        expected = [
+            node
+            for node in subterms(term)
+            if (
+                isinstance(node, (Let, LetAnn))
+                and node.var not in free_vars(node.body)
+            )
+            or (
+                isinstance(node, (Lam, LamAnn))
+                and node.param not in free_vars(node.body)
+            )
+        ]
+        assert [id(n) for n in unused_binders(term)] == [id(n) for n in expected]
 
     def test_fml402_unused_param_with_exact_span(self):
         diags = lint("fun x -> fun y -> x")
@@ -384,6 +427,24 @@ class TestDeterminismAndCaching:
             json.loads(GOLDEN.read_text())
         ), "regenerate tests/golden/lint_examples.json"
 
+    def test_golden_programs_file_is_current(self):
+        # Generated sig/def programs (open environments, nested
+        # annotations, ill-typed definitions); CI diffs the same
+        # output byte-exactly at --jobs 1 and 2.
+        import contextlib
+        import io
+
+        files = sorted(str(p) for p in PROGRAMS_DIR.glob("*.fml"))
+        assert len(files) == 12
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            run_check(files + ["--json", "--lint"])
+        doc = json.loads(buffer.getvalue())
+        golden = json.loads(PROGRAMS_GOLDEN.read_text())
+        for program in doc["programs"] + golden["programs"]:
+            program["file"] = Path(program["file"]).name
+        assert doc == golden, "tests/golden/lint_programs.json is out of date"
+
 
 class TestCLI:
     def test_check_args_accept_lint_flags(self):
@@ -435,3 +496,268 @@ class TestCLI:
         assert repl.handle(":lint auto id")
         assert repl.error_count == 1
         assert "error:" in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# FML410 probes resume from let-spine checkpoints
+# ---------------------------------------------------------------------------
+
+# Definition templates for generated programs: (sort of the defined
+# name, signature, annotated parameters, body).  Placeholders name an
+# earlier definition of a sort -- {I} Int, {F} Int -> Int, {P}
+# forall a. a -> a, {M} a monomorphic variable pinned by the value
+# restriction -- or fall back to a prelude term of that type.
+_TEMPLATES: list[tuple[str, str | None, tuple[tuple[str, str], ...], str]] = [
+    ("F", "Int -> Int", (("x", "Int"),), "{F} x + 1"),
+    ("P", "forall a. a -> a", (("x", "a"),), "x"),
+    ("P", "forall a. a -> a", (("x", "a"),), "let (y : a) = x in y"),
+    ("P", "forall a. a -> a", (), "fun x -> x"),
+    ("P", "forall b. b -> b", (), "{P}"),
+    ("I", None, (), "let (h : Int -> Int) = fun y -> {F} y in h {I}"),
+    ("I", "Int", (), "{I} + 1"),
+    ("-", None, (), "fun (z : forall a. a -> a) -> z {I}"),
+    ("M", None, (), "id id"),
+    ("M", None, (), "choose {M}"),
+    ("I", None, (), "{M} {I}"),
+    ("-", None, (), "inc true"),
+    ("-", None, (), "{F} ({P} true)"),
+    ("P", None, (("x", ""),), "x"),
+    ("P", "forall b. b -> b", (("x", "b"),),
+     "let (g : b -> b) = fun (w : b) -> w in g x"),
+    ("I", "(forall a. a -> a) -> Int", (("f", "forall a. a -> a"),), "f 1"),
+    ("-", None, (), "let (k : forall a. a -> a) = fun x -> x in poly ~k"),
+    ("-", None, (), "let (k : Int -> Int) = {P} in pair (k {I}) ({M} 2)"),
+    ("I", "Int", (), "let (q : forall a. a -> a) = {P} in q {I}"),
+]
+
+_FALLBACK = {"I": "1", "F": "inc", "P": "id", "M": "(id id)"}
+
+_MAINS = ["{I} + {F} 1", "fun y -> pair ~{P} y", "fun y -> pair ({F} {I}) y"]
+
+
+@st.composite
+def lint_sources(draw) -> str:
+    """A ``sig``/``def`` program, or the same definitions as one bare
+    ``let`` chain: annotated parameters, nested annotated lets, scoped
+    type variables, shadowed names, ill-typed definitions and value-
+    restricted (open) environment entries."""
+    picks = draw(st.lists(st.integers(0, len(_TEMPLATES) - 1), min_size=1, max_size=9))
+    scope: dict[str, list[str]] = {sort: [] for sort in _FALLBACK}
+    defs: list[tuple[str, str | None, tuple[tuple[str, str], ...], str]] = []
+    for index, pick in enumerate(picks):
+        sort, sig, params, body = _TEMPLATES[pick]
+        for key in _FALLBACK:
+            while "{" + key + "}" in body:
+                options = [*scope[key], _FALLBACK[key]]
+                body = body.replace("{" + key + "}", draw(st.sampled_from(options)), 1)
+        taken = [name for names in scope.values() for name in names]
+        if taken and draw(st.integers(0, 4)) == 0:
+            name = draw(st.sampled_from(taken))  # shadow an earlier definition
+        else:
+            name = f"d{index}"
+        defs.append((name, sig, params, body))
+        if sort in scope:
+            scope[sort].append(name)
+    # An Int main, or one whose type keeps a free variable next to a
+    # frozen definition's quantifier (display names then depend on the
+    # binder names an annotation supplies).
+    main = draw(st.sampled_from(_MAINS))
+    for key in ("I", "F", "P"):
+        options = [*scope[key], _FALLBACK[key]]
+        main = main.replace("{" + key + "}", draw(st.sampled_from(options)), 1)
+    if draw(st.booleans()):
+        lines = []
+        for name, sig, params, body in defs:
+            if sig is not None:
+                lines.append(f"sig {name} : {sig}")
+            lhs = " ".join([name, *(p for p, _ in params)])
+            lines.append(f"def {lhs} = {body}")
+        return "\n".join([*lines, f"main = {main}"]) + "\n"
+    term = main
+    for name, sig, params, body in reversed(defs):
+        for param, ann in reversed(params):
+            body = f"fun ({param} : {ann}) -> {body}" if ann and sig else f"fun {param} -> {body}"
+        binder = f"({name} : {sig})" if sig is not None else name
+        term = f"let {binder} = {body} in {term}"
+    return term
+
+
+def _erase_everywhere(term, target):
+    """The whole-program erasure the probes used to make: a full copy
+    of ``term`` with ``target`` (by identity) unannotated."""
+    from repro.core.terms import App, Lam, LamAnn, Let, LetAnn
+
+    if term is target:
+        if isinstance(term, LamAnn):
+            return Lam(term.param, term.body)
+        return Let(term.var, term.bound, term.body)
+    if isinstance(term, Lam):
+        return Lam(term.param, _erase_everywhere(term.body, target))
+    if isinstance(term, LamAnn):
+        return LamAnn(term.param, term.ann, _erase_everywhere(term.body, target))
+    if isinstance(term, App):
+        return App(_erase_everywhere(term.fn, target), _erase_everywhere(term.arg, target))
+    if isinstance(term, Let):
+        return Let(
+            term.var,
+            _erase_everywhere(term.bound, target),
+            _erase_everywhere(term.body, target),
+        )
+    if isinstance(term, LetAnn):
+        return LetAnn(
+            term.var,
+            term.ann,
+            _erase_everywhere(term.bound, target),
+            _erase_everywhere(term.body, target),
+        )
+    return term
+
+
+def _whole_program_fml410(ctx):
+    """The oracle: one full re-inference of the erased program per
+    annotation, compared with the program type."""
+    from repro.analysis.framework import warning
+    from repro.analysis.inference import MAX_ANNOTATION_PROBES
+    from repro.core.infer import infer_raw, normalise_type
+    from repro.core.terms import LamAnn, LetAnn, subterms
+    from repro.core.types import alpha_equal, format_type
+    from repro.errors import FreezeMLError
+
+    run = ctx.inference()
+    if run is None:
+        return
+    base_ty = normalise_type(run.result.ty)
+    probes = 0
+    for node in subterms(ctx.term):
+        if isinstance(node, LamAnn):
+            described = f"parameter `{node.param}`"
+        elif isinstance(node, LetAnn) and not node.var.startswith("%"):
+            described = f"binding `{node.var}`"
+        else:
+            continue
+        if probes >= MAX_ANNOTATION_PROBES:
+            return
+        probes += 1
+        try:
+            probe = infer_raw(
+                _erase_everywhere(ctx.term, node),
+                ctx.env,
+                ctx.delta,
+                strategy=ctx.strategy,
+                value_restriction=ctx.value_restriction,
+                budget=ctx.budget,
+            )
+        except (FreezeMLError, RecursionError):
+            continue
+        if alpha_equal(normalise_type(probe.ty), base_ty):
+            yield warning(
+                "FML410",
+                f"annotation `{format_type(node.ann)}` on {described} is "
+                "redundant: the same type is inferred without it",
+                ctx.span_of(node),
+                hint="drop the annotation",
+            )
+
+
+class _UnsharedFreezeML(FreezeMLEngine):
+    """The freezeml engine under another class, so a linted check
+    infers the program type again instead of reusing lint's run."""
+
+
+def _oracle_check(source: str, **session_kwargs) -> dict:
+    """``check(lint=True)`` as it was before checkpoints: the engine
+    infers the program type and FML410 re-infers the whole program."""
+    from repro.analysis import framework
+
+    passes = [
+        replace(p, run=_whole_program_fml410) if p.codes == ("FML410",) else p
+        for p in all_passes()
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(framework, "_PASSES", passes)
+        session = Session(engine=_UnsharedFreezeML(), **session_kwargs)
+        return session.check(source, lint=True).to_dict()
+
+
+class TestCheckpointedProbes:
+    @settings(max_examples=150, deadline=None)
+    @given(lint_sources(), st.sampled_from(["variable", "eliminator"]))
+    def test_matches_whole_program_probes(self, source, strategy):
+        got = Session(strategy=strategy).check(source, lint=True).to_dict()
+        assert got == _oracle_check(source, strategy=strategy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lint_sources(), st.sampled_from([40, 120, 400, 1500]))
+    def test_matches_whole_program_probes_under_fuel(self, source, fuel):
+        got = Session(fuel=fuel).check(source, lint=True).to_dict()
+        assert got == _oracle_check(source, fuel=fuel)
+
+    def test_open_environment_falls_back_to_the_body(self):
+        # `m` is pinned monomorphic, so Gamma is open.  The annotation
+        # on `u` solves m's variable to Int; without it `k` still gets
+        # `Int`, but `main` becomes `a -> a`.  A stop at `k`'s body
+        # would call the annotation redundant.
+        source = (
+            "def m = id id\n"
+            "def k = let (u : Int -> Int) = m in 0\n"
+            "main = m\n"
+        )
+        result = Session().check(source, lint=True)
+        assert result.type_str == "Int -> Int"
+        assert "FML410" not in codes(result.diagnostics)
+        assert result.to_dict() == _oracle_check(source)
+
+    def test_free_program_type_variables_keep_the_full_run(self):
+        # Erasing the signature leaves `f : forall %N. %N -> %N`, which
+        # is alpha-equal, but the program type's free variable is then
+        # displayed as `a` instead of `b`: the whole-program comparison
+        # says "not redundant", so no probe may stop at the spine.
+        source = "let (f : forall a. a -> a) = fun x -> x in fun y -> pair ~f y"
+        result = Session().check(source, lint=True)
+        assert result.type_str == "b -> (forall a. a -> a) * b"
+        assert "FML410" not in codes(result.diagnostics)
+        assert result.to_dict() == _oracle_check(source)
+
+    def test_budgeted_probes_run_to_the_end(self):
+        # Near the smallest fuel the program needs, erasing the
+        # signature leaves an equal entry for `f` but costs more fuel,
+        # so the whole-program probe runs out in the chain below: a
+        # budgeted probe must never stop at the spine.
+        source = "sig f : Int -> Int\ndef f x = x + 1\ndef g = f 1\nmain = g + f 2\n"
+        least = next(
+            fuel for fuel in range(1, 500) if Session(fuel=fuel).check(source).ok
+        )
+        for fuel in range(least, least + 4):
+            got = Session(fuel=fuel).check(source, lint=True).to_dict()
+            assert got == _oracle_check(source, fuel=fuel)
+
+    def test_inference_node_count_is_pinned(self, monkeypatch):
+        # A plain check infers 128 nodes.  With lint: one instrumented
+        # run that is also the check, plus 35 probes resumed from their
+        # definitions' checkpoints, most stopping at the spine.  (The
+        # check's own run plus whole-program probes took 3456.)
+        # `m` is pinned monomorphic until `n` solves it: Gamma closes
+        # again, so the later probes may stop at the spine.
+        lines = ["def m = id id", "def n = m 1"]
+        for i in range(20):
+            if i % 4 == 0:
+                lines += [f"sig f{i} : Int -> Int", f"def f{i} x = x + {i}"]
+            elif i % 4 == 1:
+                lines += [f"sig p{i} : forall a. a -> a", f"def p{i} x = let (y : a) = x in y"]
+            elif i % 4 == 2:
+                lines.append(f"def v{i} = p{i - 1} (f{i - 2} {i})")
+            else:
+                lines.append(f"def g{i} = fun (h : Int -> Int) -> h v{i - 1}")
+        lines.append("main = f16 (g19 f0)")
+        source = "\n".join(lines) + "\n"
+        calls = [0]
+        original = Inferencer.infer_node
+
+        def counting(self, delta, gamma, term):
+            calls[0] += 1
+            return original(self, delta, gamma, term)
+
+        monkeypatch.setattr(Inferencer, "infer_node", counting)
+        result = Session().check(source, lint=True)
+        assert result.ok and result.type_str == "Int"
+        assert calls[0] == 503

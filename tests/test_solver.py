@@ -144,7 +144,6 @@ class TestUnifyInPlace:
         s.unify(EMPTY_DELTA, TVar("x"), INT)
         assert "x" not in s.kinds
         assert s.store["x"] == INT
-        assert s.trail == ["x"]
 
     def test_shared_structure_is_linear(self):
         # A DAG-shaped problem: each unique node pair unifies once.

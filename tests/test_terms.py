@@ -19,6 +19,7 @@ from repro.core.terms import (
     match_generalise,
     match_generalise_ann,
     match_instantiate,
+    subterms,
     term_size,
 )
 from tests.helpers import e, t
@@ -133,3 +134,27 @@ class TestAlphaEqualTerms:
 
     def test_freeze_distinguished_from_plain(self):
         assert not alpha_equal_terms(e("fun x -> x"), e("fun x -> ~x"))
+
+
+class TestSubterms:
+    def test_pre_order(self):
+        term = e("let f = fun (x : Int) -> inc x in let g = f 1 in f g")
+        seen = [type(node).__name__ for node in subterms(term)]
+        assert seen == [
+            "Let", "LamAnn", "App", "Var", "Var",
+            "Let", "App", "Var", "IntLit",
+            "App", "Var", "Var",
+        ]
+
+    def test_deep_nesting_is_iterative(self):
+        import sys
+
+        term = IntLit(0)
+        for i in range(5000):
+            term = Let(f"x{i}", Lam("y", Var("y")), App(Var(f"x{i}"), term))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert term_size(term) == 1 + 5000 * 5
+        finally:
+            sys.setrecursionlimit(limit)
