@@ -152,6 +152,11 @@ def _collect_type_names(ty: Type, acc: set) -> None:
 
 def _is_program(source: str) -> bool:
     """Does ``source`` use the ``sig``/``def``/``main`` program format?"""
+    # Every line boundary is whitespace to ``lstrip``, so the first
+    # non-blank character opens the first non-blank line: a program
+    # starts it with a comment or one of its keywords.
+    if source.lstrip()[:1] not in ("#", "s", "d", "m"):
+        return False
     for raw in source.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -543,7 +548,7 @@ class Session:
                 return self._fail("check", source, RecursionLimitError())
         else:
             try:
-                term, spans = self._parse(source)
+                term, spans = parse_term_spanned(source)
             except FreezeMLError as exc:
                 return self._fail("check", source, exc)
             except RecursionError:
@@ -561,10 +566,20 @@ class Session:
             if run is not None and type(self._engine_impl) is FreezeMLEngine:
                 # Lint's instrumented run is this engine's own inference
                 # under the same options: take its type, don't infer twice.
-                ty = normalise_type(run.result.ty)
-                shown = pretty_type(ty)
+                raw = run.result.ty
             else:
-                ty, shown = self._infer_term(term, spans, self._engine_impl)
+                # `_infer_term` inlined: the serving hot path.
+                raw = self._engine_impl.infer(
+                    term,
+                    self.env,
+                    delta=self.delta,
+                    strategy=self.strategy,
+                    value_restriction=self.value_restriction,
+                    spans=spans,
+                    budget=self.budget,
+                )
+            ty = normalise_type(raw)
+            shown = pretty_type(ty)
         except FreezeMLError as exc:
             return self._fail("check", source, exc, warnings=warnings)
         except RecursionError:

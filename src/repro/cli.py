@@ -116,6 +116,7 @@ above the baseline's fails the run (exit 1).
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .api import Result, Session
@@ -361,6 +362,30 @@ def parse_check_args(argv: list[str]) -> dict | str:
     return opts
 
 
+def _print_responses(responses, opts: dict) -> None:
+    """Write ``check``'s verdicts to stdout: the ``--json`` document, or
+    one human-readable block per program."""
+    if opts["json"]:
+        programs = []
+        for response in responses:
+            # `--json` output is byte-reproducible across runs and
+            # `--jobs` settings: drop the wall-clock timing (the one
+            # nondeterministic field; library users still get it).
+            entry = {"file": response.request.label, **response.result.to_dict()}
+            entry.pop("duration_ms", None)
+            programs.append(entry)
+        print(json.dumps({"engine": opts["engine"], "programs": programs}, indent=2))
+        return
+    for response in responses:
+        path, result = response.request.label, response.result
+        if result.ok:
+            suffix = " (cached)" if response.cached else ""
+            print(f"{path}: ok: {result.type_str}{suffix}")
+        # Under --lint an ok result may still carry warnings.
+        for line in render_all(result.diagnostics, file=path):
+            print(line)
+
+
 def run_check(argv: list[str]) -> int:
     """``python -m repro check FILE... [--json] [--jobs N] [...]``."""
     from .service import CheckRequest, SessionConfig, TypecheckService
@@ -417,28 +442,15 @@ def run_check(argv: list[str]) -> int:
             file=sys.stderr,
         )
 
-    if opts["json"]:
-        programs = []
-        for response in responses:
-            # `--json` output is byte-reproducible across runs and
-            # `--jobs` settings: drop the wall-clock timing (the one
-            # nondeterministic field; library users still get it).
-            entry = {"file": response.request.label, **response.result.to_dict()}
-            entry.pop("duration_ms", None)
-            programs.append(entry)
-        print(json.dumps({"engine": opts["engine"], "programs": programs}, indent=2))
-    else:
-        for response in responses:
-            path, result = response.request.label, response.result
-            if result.ok:
-                suffix = " (cached)" if response.cached else ""
-                print(f"{path}: ok: {result.type_str}{suffix}")
-                # Under --lint an ok result may still carry warnings.
-                for line in render_all(result.diagnostics, file=path):
-                    print(line)
-            else:
-                for line in render_all(result.diagnostics, file=path):
-                    print(line)
+    try:
+        _print_responses(responses, opts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`repro check ... | head`).  Point stdout
+        # at devnull so the exit-time flush cannot raise again, and exit
+        # 1 without a traceback (the recipe in Python's `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if any(
         is_resilience_code(diag.code)
         for response in responses

@@ -19,6 +19,18 @@ batches.  Three endpoints:
 Architecture
 ------------
 
+* **Hits on the loop, misses in batches.**  Admission is synchronous:
+  :meth:`ReproServer._admit` answers a program at once when its verdict
+  is known -- shed, or held in its shard's in-memory cache -- and
+  otherwise returns the future its dispatch resolves.  A verdict is a
+  deterministic function of (source, config), so a held one is exact
+  and needs no checker: it is answered on the event loop, with no
+  thread hop and no batch.  ``/check`` admits every program of a
+  request before it awaits any, so the request's misses reach the
+  shard's dispatch thread as one :meth:`~repro.service.
+  TypecheckService.check_many` batch, where the durable tier and the
+  checker run.
+
 * **Sharded brokers with in-flight coalescing.**  Requests for one
   (fuel class, lint) combination hash by cache key across ``shards``
   independent :class:`_Broker` instances (a :class:`_ShardGroup`).
@@ -59,11 +71,12 @@ Architecture
 
 * **Admission control.**  At most ``max_pending`` sources may be
   queued or dispatching at once (coalesced followers are free -- they
-  add no work).  Overflow requests are *shed*, not dropped: they get
-  the deterministic ``FML903`` verdict (same bytes at any worker
-  count) and HTTP 200, so clients see a structured, retryable answer
-  and ``repro check``-style consumers map it to the exit-code-3
-  degraded family.
+  add no work; an in-memory hit is still refused at the limit but
+  holds no slot while it is answered).  Overflow requests are *shed*,
+  not dropped: they get the deterministic ``FML903`` verdict (same
+  bytes at any worker count) and HTTP 200, so clients see a
+  structured, retryable answer and ``repro check``-style consumers
+  map it to the exit-code-3 degraded family.
 
 * **Drain-clean shutdown.**  SIGTERM stops admission (new ``POST
   /check`` gets HTTP 503), in-flight batches complete up to
@@ -250,7 +263,9 @@ class _Broker:
     All bookkeeping (``inflight``, ``waiting``, ``current_batch``) is
     touched only from the event loop; the single-worker executor
     serialises every call into the (not thread-safe) service, whose own
-    process pool is where parallelism happens.
+    process pool is where parallelism happens.  The loop only reads
+    the service (``cache_key``, ``cached_verdict``) and bumps the two
+    counters the dispatch thread never writes (``coalesced``, ``shed``).
 
     The broker also carries the shard's health machinery: its circuit
     breaker, the supervisor's probe counters, and :meth:`rebuild` --
@@ -290,6 +305,9 @@ class _Broker:
         self.rebuilds = 0
         self.circuit_shed = 0
         self.completed_batches = 0
+        #: in-memory hits answered on the event loop (never dispatched);
+        #: written only by the loop, folded into ``/stats`` totals.
+        self.loop_hits = 0
         self.probe_failures = 0
         self.probed_batches = 0  # completed_batches at the last probe
 
@@ -667,25 +685,44 @@ class ReproServer:
             diagnostics=(diag,),
         )
 
-    async def _admit(self, group: _ShardGroup, source: str) -> Result:
-        """Route, coalesce, shed, or enqueue one program."""
+    def _admit(
+        self, group: _ShardGroup, source: str
+    ) -> "Result | asyncio.Future[Result]":
+        """Route, coalesce, shed, answer or enqueue one program: the
+        verdict itself when it is known now, else the future it
+        resolves on.
+
+        The order is fixed: coalesce onto an in-flight key, then the
+        breaker (``FML904``), then ``max_pending`` (``FML903``), then
+        the in-memory hit, then dispatch.  The hit is taken only when
+        the breaker allowed the request outright -- a half-open probe
+        must reach the dispatch thread, since only a dispatch proves
+        that thread alive.  A hit holds no pending slot.
+        """
         key = group.cache_key(source)
         shard = group.shard_for(key)
         if shard.coalesce:
             inflight = shard.inflight.get(key)
             if inflight is not None:
                 shard.service.stats.coalesced += 1
-                return await inflight
-        if shard.breaker.admit() == "shed":
+                return inflight
+        admitted = shard.breaker.admit()
+        if admitted == "shed":
             shard.circuit_shed += 1
             return self._circuit_shed_result(source, shard)
         if self._pending >= self.max_pending:
             shard.service.stats.shed += 1
             return self._shed_result(source, shard)
+        if admitted == "allow":
+            held = shard.service.cached_verdict(key)
+            if held is not None:
+                shard.loop_hits += 1
+                shard._record(held)
+                return held
         self._pending += 1
         future = shard.submit(key, source)
         future.add_done_callback(lambda _f: self._release())
-        return await future
+        return future
 
     def _release(self) -> None:
         self._pending -= 1
@@ -766,7 +803,14 @@ class ReproServer:
         aggregate = ServiceStats()
         shards = []
         for shard in group.shards:
-            stats = shard.service.stats
+            # Loop-side hits never reach the service; count each as the
+            # request and the hit it is.
+            base = shard.service.stats
+            stats = replace(
+                base,
+                requests=base.requests + shard.loop_hits,
+                hits=base.hits + shard.loop_hits,
+            )
             for field in dataclass_fields(ServiceStats):
                 setattr(
                     aggregate,
@@ -784,6 +828,7 @@ class ReproServer:
                     "rebuilds": shard.rebuilds,
                     "circuit_shed": shard.circuit_shed,
                     "completed_batches": shard.completed_batches,
+                    "loop_hits": shard.loop_hits,
                 }
             )
         entry = aggregate.to_dict()
@@ -859,9 +904,13 @@ class ReproServer:
         if single and not programs:
             return 400, {"error": 'the request needs a "source" string'}
 
-        results = await asyncio.gather(
-            *(self._admit(broker, source) for source, _ in programs)
-        )
+        # Admit every program before the first await, so this request's
+        # misses leave together as one batch; hits are already answers.
+        admitted = [self._admit(broker, source) for source, _ in programs]
+        results = [
+            outcome if isinstance(outcome, Result) else await outcome
+            for outcome in admitted
+        ]
 
         # Batch-local `cached` flags (see the module docstring): true
         # exactly for repeated sources within this request, matching

@@ -573,6 +573,19 @@ class TypecheckService:
             digest.update(b"\x00")
         return digest.hexdigest()
 
+    def cached_verdict(self, key: str) -> Result | None:
+        """The in-memory verdict held for ``key``, or ``None`` when the
+        cache is off, the key is quarantined or nothing is held.
+
+        The one definition of a hit, shared by :meth:`check_many` and
+        the serving event loop.  It only reads the in-memory dicts (each
+        read is atomic), so the loop may call it while the dispatch
+        thread writes; the durable tier is blocking I/O and is consulted
+        on the dispatch path only."""
+        if not self.cache_enabled or key in self._quarantine:
+            return None
+        return self._cache.get(key)
+
     def clear_cache(self) -> None:
         """Drop the in-memory tier only; the persistent tier (if any)
         is shared state with its own :meth:`~repro.cache.PersistentCache.clear`."""
@@ -642,8 +655,8 @@ class TypecheckService:
         for request, key in zip(requests, keys):
             if key in self._quarantine:
                 plan.append(("quarantined", self._quarantine[key]))
-            elif self.cache_enabled and key in self._cache:
-                plan.append(("hit", self._cache[key]))
+            elif (held := self.cached_verdict(key)) is not None:
+                plan.append(("hit", held))
             elif self.cache_enabled and key in pending:
                 plan.append(("alias", pending[key]))
             elif self.cache_enabled and (

@@ -224,6 +224,34 @@ class TestCheckSubcommand:
         good, *_ = tree
         assert main(["check", str(good)]) == 0
 
+    @pytest.mark.parametrize("fmt", [["--json"], []])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tree, fmt):
+        # `repro check FILE --json | head -c 10`, made deterministic:
+        # the reader closes its end before the checker writes a byte.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        good, *_ = tree
+        root = Path(__file__).resolve().parent.parent
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            process = subprocess.run(
+                [sys.executable, "-m", "repro", "check", str(good), *fmt],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert process.returncode == 1
+        assert "Traceback" not in process.stderr
+        assert "BrokenPipeError" not in process.stderr
+
 
 class TestCheckServiceOptions:
     """The serving-flavoured `check` options: stdin, --jobs, --no-cache."""

@@ -17,6 +17,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.api import _is_program
 from repro.corpus.examples import ALL_EXAMPLES
 from repro.errors import ParseError
@@ -162,6 +165,44 @@ def test_parser_spans_match_golden():
     assert render() == GOLDEN.read_text(), (
         "parser spans drifted from tests/golden/parser_spans.json"
     )
+
+
+def _is_program_by_line_scan(source: str) -> bool:
+    """The program-format test as a plain line scan: skip blank and
+    ``#`` lines, then look at the first word."""
+    for raw in source.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head = line.split(None, 1)[0]
+        return head in ("sig", "def", "main") or head.startswith("main=")
+    return False
+
+
+#: blank or comment lines; with ``_LINE_ENDS`` every ``str.splitlines``
+#: boundary appears
+_BLANK_LINES = st.sampled_from(
+    ["", " ", "\t", "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "# c", "  #sig", "#"]
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1d", "\x1e", "\u2029"])
+_INDENTS = st.sampled_from(["", " ", "  ", "\x0c", "\t ", "\r\n "])
+_FIRST_WORDS = st.sampled_from(
+    ["sig", "def", "main", "main=x", "mainly", "sigma", "define", "m", "s",
+     "d", "x", "fun", "let", "1", "(", "~id", "#sig", ""]
+)
+_TAILS = st.sampled_from(["", " f : Int", " f x = x", "\tx", " = 1", "\ndef f = 1"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(_BLANK_LINES, _LINE_ENDS), max_size=4),
+    _INDENTS,
+    _FIRST_WORDS,
+    _TAILS,
+)
+def test_is_program_agrees_with_the_line_scan(blanks, indent, word, tail):
+    source = "".join(line + end for line, end in blanks) + indent + word + tail
+    assert _is_program(source) == _is_program_by_line_scan(source)
 
 
 if __name__ == "__main__":

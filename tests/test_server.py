@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from repro.api import Result
 from repro.cli import parse_serve_args, run_check, run_serve
 from repro.server import (
     FUEL_CLASSES,
@@ -42,7 +45,7 @@ from repro.server import (
     parse_shard_fault_plans,
     resolve_fuel_class,
 )
-from repro.service import FaultPlan, SessionConfig
+from repro.service import FaultPlan, SessionConfig, TypecheckService
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -70,14 +73,16 @@ def get(url: str, target: str) -> tuple[int, dict]:
 
 
 def run_admit(server: ReproServer, *sources: str) -> list:
-    """Drive `_admit` for each source concurrently on a fresh event
-    loop (the deterministic, socket-free path into the broker)."""
+    """Admit every source, then await the dispatched ones, on a fresh
+    event loop -- the socket-free path `/check` takes into the broker."""
 
     async def main():
         broker = server.broker("default")
-        return await asyncio.gather(
-            *(server._admit(broker, source) for source in sources)
-        )
+        admitted = [server._admit(broker, source) for source in sources]
+        return [
+            outcome if isinstance(outcome, Result) else await outcome
+            for outcome in admitted
+        ]
 
     return asyncio.run(main())
 
@@ -210,6 +215,170 @@ class TestAdmissionControl:
             assert stats.shed == 0 and stats.coalesced == 4
         finally:
             server.close()
+
+
+def count_dispatches(shard) -> list:
+    """Record every batch the shard's service is asked to check."""
+    calls: list = []
+    check_many = shard.service.check_many
+
+    def counting(sources):
+        calls.append(list(sources))
+        return check_many(sources)
+
+    shard.service.check_many = counting
+    return calls
+
+
+class TestLoopSideHits:
+    """An in-memory hit is answered on the event loop; everything the
+    admission order puts before it still wins."""
+
+    def test_repeated_key_is_answered_without_a_dispatch(self):
+        with ServerThread(config=SessionConfig(), probe_interval=None) as handle:
+            shard = handle.server.broker("default").shards[0]
+            calls = count_dispatches(shard)
+            _, first = post_check(handle.url, {"source": "poly ~id"})
+            _, before = get(handle.url, "/stats")
+            batches = shard.completed_batches
+            _, second = post_check(handle.url, {"source": "poly ~id"})
+            _, after = get(handle.url, "/stats")
+            assert second == first
+            assert shard.completed_batches == batches
+            assert calls == [["poly ~id"]]
+            old, new = before["classes"]["default"], after["classes"]["default"]
+            assert new["requests"] == old["requests"] + 1
+            assert new["hits"] == old["hits"] + 1
+            assert new["shards"][0]["loop_hits"] == 1
+            assert new["hit_rate"] == 0.5
+
+    def test_open_breaker_sheds_a_cached_key(self):
+        server = ReproServer(SessionConfig(), breaker_threshold=1)
+        try:
+            run_admit(server, "poly ~id")
+            shard = server.broker("default").shards[0]
+            shard.breaker.record_failure()  # threshold 1: open
+            calls = count_dispatches(shard)
+            (result,) = run_admit(server, "poly ~id")
+            expected = server._circuit_shed_result("poly ~id", shard)
+            assert result.to_dict() == expected.to_dict()
+            assert [d.code for d in result.diagnostics] == ["FML904"]
+            assert calls == [] and shard.loop_hits == 0
+        finally:
+            server.close()
+
+    def test_half_open_probe_dispatches_a_cached_key(self):
+        server = ReproServer(SessionConfig(), breaker_threshold=1)
+        try:
+            (cold,) = run_admit(server, "poly ~id")
+            shard = server.broker("default").shards[0]
+            clock = FakeClock()
+            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
+            shard.breaker.record_failure()
+            clock.now = 5.0  # cooldown over: the next request probes
+            calls = count_dispatches(shard)
+            batches = shard.completed_batches
+            (probe,) = run_admit(server, "poly ~id")
+            assert calls == [["poly ~id"]]
+            assert shard.completed_batches == batches + 1
+            assert shard.loop_hits == 0
+            assert probe.type_str == cold.type_str and probe.ok
+            assert shard.breaker.state == "closed"
+        finally:
+            server.close()
+
+    def test_cached_key_still_sheds_at_max_pending(self):
+        server = ReproServer(SessionConfig(), max_pending=0)
+        try:
+            shard = server.broker("default").shards[0]
+            shard.service.check_many(["poly ~id"])  # held in memory
+            (result,) = run_admit(server, "poly ~id")
+            assert [d.code for d in result.diagnostics] == ["FML903"]
+            assert shard.service.stats.shed == 1 and shard.loop_hits == 0
+        finally:
+            server.close()
+
+    def test_no_cache_never_answers_on_the_loop(self):
+        server = ReproServer(SessionConfig(), cache=False)
+        try:
+            shard = server.broker("default").shards[0]
+            calls = count_dispatches(shard)
+            for _ in range(3):
+                (result,) = run_admit(server, "poly ~id")
+                assert result.ok
+            assert calls == [["poly ~id"]] * 3
+            assert shard.loop_hits == 0
+            assert shard.service.stats.misses == 3
+        finally:
+            server.close()
+
+    def test_hit_lookup_races_the_dispatch_thread_safely(self):
+        # The loop reads the in-memory cache while the dispatch thread
+        # inserts and evicts: every verdict read must be the key's own.
+        service = TypecheckService(SessionConfig(), max_cache_entries=4)
+        sources = [f"1 + {n}" for n in range(12)]
+        keys = [service.cache_key(source) for source in sources]
+        stop = threading.Event()
+        wrong: list = []
+
+        def write() -> None:
+            while not stop.is_set():
+                service.check_many(sources)  # 12 inserts, 8 evictions
+
+        def read() -> None:
+            while not stop.is_set():
+                for source, key in zip(sources, keys):
+                    held = service.cached_verdict(key)
+                    if held is not None and held.source != source:
+                        wrong.append((source, held.source))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=write),
+            *(threading.Thread(target=read) for _ in range(3)),
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert service.stats.misses > len(sources)  # evictions happened
+
+    def test_mixed_request_keeps_bytes_and_batches_its_misses(
+        self, tmp_path, capsys
+    ):
+        sources = ["auto id", "poly ~id", "auto id", "1 + 2", "poly ~id"]
+        paths = []
+        for index, source in enumerate(sources):
+            path = tmp_path / f"p{index}.fml"
+            path.write_text(source)
+            paths.append(str(path))
+        assert run_check([*paths, "--json"]) == 1
+        expected = capsys.readouterr().out.encode("utf-8")
+
+        with ServerThread(config=SessionConfig(), probe_interval=None) as handle:
+            post_check(handle.url, {"source": "poly ~id"})  # already cached
+            shard = handle.server.broker("default").shards[0]
+            calls = count_dispatches(shard)
+            programs = [
+                {"source": source, "label": path}
+                for source, path in zip(sources, paths)
+            ]
+            status, body = post_check(handle.url, {"programs": programs})
+        assert status == 200
+        assert body == expected
+        flags = [p["cached"] for p in json.loads(body)["programs"]]
+        assert flags == [False, False, True, False, True]
+        assert calls == [["auto id", "1 + 2"]]  # one batch, repeats coalesced
+        assert shard.loop_hits == 2
 
 
 class TestHTTPEndpoints:
