@@ -47,7 +47,8 @@ state leaks between programs.  This is the serving-style entrypoint the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core.derivation import derive as _derive
@@ -110,9 +111,23 @@ class Result:
     #: result served from the batch cache, and how long did the check take?
     cached: bool = False
     duration_ms: float | None = field(default=None, compare=False)
+    #: the rendered check-response entry, minus its ``file`` value and
+    #: ``cached`` flag (see :meth:`hold_entry_json`).  Process-local:
+    #: ``to_dict``, ``replace`` and pickling never carry it.
+    _entry_memo: tuple[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in _RESULT_STATE]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(_RESULT_STATE, state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_entry_memo", None)
 
     def to_dict(self) -> dict:
         """JSON-ready form (used by ``python -m repro check --json``).
@@ -136,6 +151,60 @@ class Result:
         if self.duration_ms is not None:
             payload["duration_ms"] = self.duration_ms
         return payload
+
+    def entry(self, label: str, cached: bool) -> dict:
+        """This verdict as one program of a check response: the layout
+        ``repro check --json`` prints and ``POST /check`` serves.
+        ``label`` names the program (``file``), ``cached`` is the flag
+        the caller reports, and the wall-clock ``duration_ms`` is left
+        out so the bytes are reproducible."""
+        payload = {"file": label, **self.to_dict()}
+        payload.pop("duration_ms", None)
+        payload["cached"] = cached
+        return payload
+
+    def entry_json(self, label: str, cached: bool) -> str:
+        """``json.dumps(self.entry(label, cached), indent=2)``, spliced
+        from the memo when :meth:`hold_entry_json` has filled it."""
+        memo = self._entry_memo
+        if memo is None:
+            return json.dumps(self.entry(label, cached), indent=2)
+        head, tail = memo
+        flag = "true" if cached else "false"
+        return _ENTRY_OPEN + json.dumps(label) + head + flag + tail
+
+    def hold_entry_json(self) -> None:
+        """Render this verdict's entry once, for a verdict that is held
+        and answered again and again.  The memo keeps the text around
+        the two per-request values; a JSON string holds no raw newline,
+        so the only ``cached`` key at two spaces of indentation is the
+        entry's own."""
+        if self._entry_memo is None:
+            text = json.dumps(self.entry("", False), indent=2)
+            rest = text[len(_ENTRY_OPEN) + len('""') :]
+            head, _, tail = rest.partition(_CACHED_KEY + "false")
+            object.__setattr__(self, "_entry_memo", (head + _CACHED_KEY, tail))
+
+
+#: What pickles of a :class:`Result`: every field but the entry memo.
+_RESULT_STATE = tuple(f.name for f in fields(Result) if f.name != "_entry_memo")
+_ENTRY_OPEN = '{\n  "file": '
+_CACHED_KEY = '\n  "cached": '
+
+
+def check_document_json(engine: str, entries: Sequence[str]) -> str:
+    """``json.dumps({"engine": engine, "programs": [...]}, indent=2)``
+    for programs already rendered by :meth:`Result.entry_json`: the
+    document ``repro check --json`` prints and a batch ``POST /check``
+    serves.  Nesting indents every line of an entry by four more
+    spaces, and only structure puts a newline in JSON text."""
+    if not entries:
+        return json.dumps({"engine": engine, "programs": []}, indent=2)
+    programs = ",\n".join(entries).replace("\n", "\n    ")
+    return (
+        '{\n  "engine": ' + json.dumps(engine)
+        + ',\n  "programs": [\n    ' + programs + "\n  ]\n}"
+    )
 
 
 def _collect_type_names(ty: Type, acc: set) -> None:
@@ -696,5 +765,6 @@ __all__ = [
     "ENGINES",
     "Result",
     "Session",
+    "check_document_json",
     "check_programs",
 ]

@@ -119,7 +119,7 @@ import json
 import os
 import sys
 
-from .api import Result, Session
+from .api import Result, Session, check_document_json
 from .diagnostics import Severity, render_all
 from .errors import is_resilience_code
 
@@ -366,15 +366,12 @@ def _print_responses(responses, opts: dict) -> None:
     """Write ``check``'s verdicts to stdout: the ``--json`` document, or
     one human-readable block per program."""
     if opts["json"]:
-        programs = []
-        for response in responses:
-            # `--json` output is byte-reproducible across runs and
-            # `--jobs` settings: drop the wall-clock timing (the one
-            # nondeterministic field; library users still get it).
-            entry = {"file": response.request.label, **response.result.to_dict()}
-            entry.pop("duration_ms", None)
-            programs.append(entry)
-        print(json.dumps({"engine": opts["engine"], "programs": programs}, indent=2))
+        # The layout `repro serve` answers with, byte for byte.
+        entries = [
+            response.result.entry_json(response.request.label, response.cached)
+            for response in responses
+        ]
+        print(check_document_json(opts["engine"], entries))
         return
     for response in responses:
         path, result = response.request.label, response.result

@@ -25,7 +25,12 @@ Architecture
   otherwise returns the future its dispatch resolves.  A verdict is a
   deterministic function of (source, config), so a held one is exact
   and needs no checker: it is answered on the event loop, with no
-  thread hop and no batch.  ``/check`` admits every program of a
+  thread hop and no batch.  Its bytes never change either, so a held
+  verdict served as a hit keeps its rendered response entry
+  (:meth:`~repro.api.Result.hold_entry_json`) and later hits splice
+  in only the ``file`` label and the ``cached`` flag; the memo lives
+  and dies with the held verdict, and misses, sheds and coalesced
+  followers never fill it.  ``/check`` admits every program of a
   request before it awaits any, so the request's misses reach the
   shard's dispatch thread as one :meth:`~repro.service.
   TypecheckService.check_many` batch, where the durable tier and the
@@ -117,7 +122,7 @@ from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from typing import Callable, ClassVar
 
-from .api import Result
+from .api import Result, check_document_json
 from .cache import PersistentCache, default_cache_path
 from .diagnostics import Span, diagnostic_from_error
 from .errors import CircuitOpenError, LoadShedError, WorkerCrashError
@@ -218,6 +223,14 @@ class _CircuitBreaker:
             return "shed"
         # half-open: the probe is already in flight.
         return "shed"
+
+    def cancel_probe(self) -> None:
+        """The probe :meth:`admit` let through was shed before it ran:
+        back to open with the cooldown still elapsed, so the next request
+        probes instead of every later one shedding behind a probe that
+        will never report."""
+        if self.state == "half_open":
+            self.state = "open"
 
     def record_success(self) -> None:
         self.failures = 0
@@ -697,7 +710,9 @@ class ReproServer:
         the in-memory hit, then dispatch.  The hit is taken only when
         the breaker allowed the request outright -- a half-open probe
         must reach the dispatch thread, since only a dispatch proves
-        that thread alive.  A hit holds no pending slot.
+        that thread alive; a probe shed by ``max_pending`` hands the
+        probe to the next request.  A hit holds no pending slot, and
+        its verdict keeps its rendered entry for the next hit.
         """
         key = group.cache_key(source)
         shard = group.shard_for(key)
@@ -711,6 +726,8 @@ class ReproServer:
             shard.circuit_shed += 1
             return self._circuit_shed_result(source, shard)
         if self._pending >= self.max_pending:
+            if admitted == "probe":
+                shard.breaker.cancel_probe()
             shard.service.stats.shed += 1
             return self._shed_result(source, shard)
         if admitted == "allow":
@@ -718,6 +735,7 @@ class ReproServer:
             if held is not None:
                 shard.loop_hits += 1
                 shard._record(held)
+                held.hold_entry_json()
                 return held
         self._pending += 1
         future = shard.submit(key, source)
@@ -868,7 +886,7 @@ class ReproServer:
             "cache": cache_stats,
         }
 
-    async def _handle_check(self, body: bytes) -> tuple[int, dict]:
+    async def _handle_check(self, body: bytes) -> tuple[int, dict | str]:
         try:
             doc = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
@@ -919,14 +937,11 @@ class ReproServer:
         entries = []
         seen: set[str] = set()
         for (source, label), result in zip(programs, results):
-            entry = {"file": label, **result.to_dict()}
-            entry.pop("duration_ms", None)
-            entry["cached"] = source in seen
+            entries.append(result.entry_json(label, source in seen))
             seen.add(source)
-            entries.append(entry)
         if single:
             return 200, entries[0]
-        return 200, {"engine": broker.service.config.engine, "programs": entries}
+        return 200, check_document_json(broker.service.config.engine, entries)
 
     async def _route(self, method: str, target: str, body: bytes):
         target = target.split("?", 1)[0]
@@ -1020,12 +1035,15 @@ class ReproServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: dict | str,
         keep_alive: bool,
     ) -> None:
         # indent=2 + trailing newline: the exact bytes `repro check
         # --json` prints, so `diff` against the CLI output is clean.
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        # `/check` hands over its document already rendered.
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, indent=2)
+        body = (payload + "\n").encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {self._REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"

@@ -86,7 +86,7 @@ from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 from .api import Result, Session
@@ -201,6 +201,16 @@ class SessionConfig:
             max_depth=self.max_depth,
         )
 
+    def key_bytes(self) -> bytes:
+        """This config's part of every cache key: each field's ``str``
+        followed by a NUL, in declaration order.  A new field is keyed
+        unless it is named in :data:`_UNKEYED_FIELDS`."""
+        return b"".join(
+            str(getattr(self, f.name)).encode() + b"\x00"
+            for f in fields(self)
+            if f.name not in _UNKEYED_FIELDS
+        )
+
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
@@ -210,6 +220,11 @@ class SessionConfig:
             "max_depth": self.max_depth,
             "lint": self.lint,
         }
+
+
+#: :class:`SessionConfig` fields left out of cache keys.  A fault plan
+#: perturbs serving, never the verdict a program deserves.
+_UNKEYED_FIELDS = frozenset({"fault_plan"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,7 +472,12 @@ class TypecheckService:
         self.quarantine_enabled = quarantine
         self.stats = ServiceStats()
         self._session = self.config.build()  # validates config eagerly
-        self._fingerprint = env_fingerprint(self._session)
+        self._key_suffix = (
+            b"\x00"
+            + self.config.key_bytes()
+            + env_fingerprint(self._session).encode()
+            + b"\x00"
+        )
         self._cache: dict[str, Result] = {}
         self._owns_persistent = persistent_cache is not None and not isinstance(
             persistent_cache, PersistentCache
@@ -557,21 +577,12 @@ class TypecheckService:
         trailing-whitespace variants must not share a cached result (see
         the module docstring).  The budget contributes too -- a fuel
         verdict is only valid for the limit that produced it.  The fault
-        plan does *not*: it perturbs serving, never the verdict."""
-        digest = hashlib.sha256()
-        for part in (
-            source,
-            self.config.engine,
-            self.config.strategy,
-            str(self.config.value_restriction),
-            str(self.config.fuel),
-            str(self.config.max_depth),
-            str(self.config.lint),
-            self._fingerprint,
-        ):
-            digest.update(part.encode())
-            digest.update(b"\x00")
-        return digest.hexdigest()
+        plan does *not*: it perturbs serving, never the verdict.
+
+        The key is the SHA-256 of the source, the keyed config fields
+        and the environment fingerprint, each followed by a NUL; all
+        but the source is built once per service."""
+        return hashlib.sha256(source.encode() + self._key_suffix).hexdigest()
 
     def cached_verdict(self, key: str) -> Result | None:
         """The in-memory verdict held for ``key``, or ``None`` when the

@@ -298,6 +298,29 @@ class TestLoopSideHits:
         finally:
             server.close()
 
+    def test_probe_shed_at_max_pending_hands_the_probe_on(self):
+        # The request the cooldown lets through as the half-open probe
+        # is shed by max_pending: no probe runs, so the breaker must not
+        # stay half-open (every later request would shed FML904).
+        server = ReproServer(SessionConfig(), breaker_threshold=1, max_pending=0)
+        try:
+            shard = server.broker("default").shards[0]
+            clock = FakeClock()
+            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
+            shard.breaker.record_failure()
+            clock.now = 5.0  # cooldown over: the next request probes
+            (shed,) = run_admit(server, "poly ~id")
+            assert [d.code for d in shed.diagnostics] == ["FML903"]
+            assert shard.breaker.state == "open"
+            server.max_pending = 1
+            clock.now = 6.0  # no second cooldown to wait out
+            calls = count_dispatches(shard)
+            (probe,) = run_admit(server, "poly ~id")
+            assert probe.ok and calls == [["poly ~id"]]
+            assert shard.breaker.state == "closed"
+        finally:
+            server.close()
+
     def test_no_cache_never_answers_on_the_loop(self):
         server = ReproServer(SessionConfig(), cache=False)
         try:

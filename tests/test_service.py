@@ -17,6 +17,7 @@ from repro.corpus.examples import EXAMPLES
 from repro.service import (
     CheckRequest,
     CheckResponse,
+    FaultPlan,
     SessionConfig,
     TypecheckService,
     env_fingerprint,
@@ -61,6 +62,19 @@ class TestSessionConfig:
         }
 
 
+# For each verdict-relevant field: a program whose verdict flips with
+# it, checked through two services sharing one SQLite file.
+WITNESSES = {
+    "value_restriction": (
+        "let f = id id in poly ~f",
+        {"value_restriction": False},
+    ),
+    "strategy": ("head ids 3", {"strategy": "eliminator"}),
+    "fuel": ("let f = fun x -> x in poly ~f", {"fuel": 5}),
+    "max_depth": ("let f = fun x -> x in poly ~f", {"max_depth": 3}),
+}
+
+
 class TestCacheKey:
     def test_key_is_byte_exact_in_the_source(self):
         # Deliberate: spans in diagnostics and the echoed `source` field
@@ -88,6 +102,51 @@ class TestCacheKey:
         assert (d2.span.line, d2.span.column) == (2, 1)
         assert bare.result.source == "fun x ->"
         assert newline.result.source == "fun x ->\n"
+
+    def test_key_bytes_are_pinned(self):
+        # Persisted SQLite rows are addressed by these digests: a change
+        # to how keys are built turns every stored verdict into a miss.
+        service = TypecheckService()
+        assert service.cache_key("poly ~id") == (
+            "17098a34abea7b857c3398cb73f4de7c623075242acccf5aacbad1d121e9365f"
+        )
+        other = TypecheckService(
+            SessionConfig(
+                strategy="eliminator",
+                value_restriction=False,
+                fuel=500,
+                max_depth=40,
+                lint=True,
+            )
+        )
+        assert other.cache_key("let f = fun x -> x in f 1\n") == (
+            "765a748d854e361aae6c3e15409d9fda0942edadb9d4855bb3d88eb6dd8a7f11"
+        )
+
+    def test_fault_plan_never_reaches_the_key(self):
+        # Shards of one group differ only in their fault plans and must
+        # agree on every key.
+        faulty = SessionConfig(fault_plan=FaultPlan(crash=(0,)))
+        assert faulty.key_bytes() == SessionConfig().key_bytes()
+
+    @pytest.mark.parametrize("first", ["base", "flipped"])
+    @pytest.mark.parametrize("field", sorted(WITNESSES))
+    def test_shared_persistent_cache_keeps_configs_apart(
+        self, tmp_path, field, first
+    ):
+        source, change = WITNESSES[field]
+        configs = {"base": SessionConfig(), "flipped": SessionConfig(**change)}
+        expected = {
+            name: config.build().check(source).entry("", False)
+            for name, config in configs.items()
+        }
+        assert expected["base"] != expected["flipped"]
+        path = tmp_path / "verdicts.sqlite"
+        for name in (first, *(n for n in configs if n != first)):
+            with TypecheckService(configs[name], persistent_cache=path) as service:
+                (response,) = service.check_many([source])
+                assert service.stats.persistent_hits == 0, name
+                assert response.result.entry("", False) == expected[name], name
 
     def test_fingerprint_tracks_environment(self):
         base = TypecheckService()
