@@ -59,7 +59,7 @@ from .core.solver import Budget
 from .core.terms import Term
 from .core.types import TCon, TForall, TVar, Type, ftv, rename
 from .corpus.signatures import prelude
-from .diagnostics import Diagnostic, Span, diagnostic_from_error
+from .diagnostics import Diagnostic, Span, diagnostic_from_error, error_span
 from .engines import ENGINES, Engine, get_engine
 from .engines.freezeml import FreezeMLEngine
 from .errors import FreezeMLError, RecursionLimitError
@@ -86,7 +86,7 @@ STRATEGY_ALIASES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Result:
     """The outcome of one session request.
 
@@ -117,6 +117,37 @@ class Result:
     _entry_memo: tuple[str, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __init__(
+        self,
+        request: str,
+        ok: bool,
+        source: str = "",
+        engine: str = "freezeml",
+        rendered: str = "",
+        ty: Type | None = None,
+        type_str: str = "",
+        value: Any = None,
+        diagnostics: tuple[Diagnostic, ...] = (),
+        cached: bool = False,
+        duration_ms: float | None = None,
+    ) -> None:
+        # What the generated frozen ``__init__`` does, with
+        # ``object.__setattr__`` looked up once instead of per field:
+        # every check builds a Result.
+        set_ = object.__setattr__
+        set_(self, "request", request)
+        set_(self, "ok", ok)
+        set_(self, "source", source)
+        set_(self, "engine", engine)
+        set_(self, "rendered", rendered)
+        set_(self, "ty", ty)
+        set_(self, "type_str", type_str)
+        set_(self, "value", value)
+        set_(self, "diagnostics", diagnostics)
+        set_(self, "cached", cached)
+        set_(self, "duration_ms", duration_ms)
+        set_(self, "_entry_memo", None)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -223,8 +254,12 @@ def _is_program(source: str) -> bool:
     """Does ``source`` use the ``sig``/``def``/``main`` program format?"""
     # Every line boundary is whitespace to ``lstrip``, so the first
     # non-blank character opens the first non-blank line: a program
-    # starts it with a comment or one of its keywords.
-    if source.lstrip()[:1] not in ("#", "s", "d", "m"):
+    # starts it with a comment or one of its keywords.  (``lstrip``
+    # copies the source, so skip it when the first character decides.)
+    first = source[:1]
+    if first.isspace():
+        first = source.lstrip()[:1]
+    if first not in ("#", "s", "d", "m"):
         return False
     for raw in source.splitlines():
         line = raw.strip()
@@ -318,9 +353,14 @@ class Session:
         engine: str = "",
         warnings: tuple[Diagnostic, ...] = (),
     ) -> Result:
-        diag = diagnostic_from_error(
-            exc, fallback_span=Span.whole_source(source) if source else None
+        # Most errors carry their own span; only the rest need the
+        # whole-source fallback, which walks every line of the source.
+        fallback = (
+            Span.whole_source(source)
+            if source and error_span(exc) is None
+            else None
         )
+        diag = diagnostic_from_error(exc, fallback_span=fallback)
         return Result(
             request=request,
             ok=False,
@@ -655,16 +695,9 @@ class Session:
             return self._fail(
                 "check", source, RecursionLimitError(), warnings=warnings
             )
-        return Result(
-            request="check",
-            ok=True,
-            source=source,
-            engine=self.engine,
-            rendered=shown,
-            ty=ty,
-            type_str=shown,
-            diagnostics=warnings,
-        )
+        # Positional (request, ok, source, engine, rendered, ty,
+        # type_str, value, diagnostics): keywords cost a check more.
+        return Result("check", True, source, self.engine, shown, ty, shown, None, warnings)
 
     def lint(self, source: str) -> Result:
         """Typecheck *and* lint: sugar for ``check(source, lint=True)``

@@ -375,10 +375,13 @@ class Inferencer:
             if not self._no_elab:
                 fn_p = elab.inst(fn_p, type_args)
 
+        # Figure 16: unify the function type with ``arg -> b`` for a
+        # fresh ``b``.  A known arrow's result is read off without
+        # declaring or binding ``b`` (see ``SolverState.unify_app``), but
+        # the name is drawn either way: messages print machine names, so
+        # skipping the draw would renumber every later ``%N``.
         b = self.supply.fresh_flexible()
-        solver.declare(b, Kind.POLY)
-        solver.unify(delta, fn_ty, arrow(arg_ty, TVar(b)), self.supply)
-        result_ty = solver.prune(TVar(b))
+        result_ty = solver.unify_app(delta, fn_ty, arg_ty, b, self.supply)
         payload = None if self._no_elab else elab.app(fn_p, arg_p, result_ty)
         return result_ty, payload
 

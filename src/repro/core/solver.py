@@ -98,10 +98,12 @@ from dataclasses import dataclass
 from .kinds import Kind, KindEnv
 from .subst import Subst, _fresh_binder
 from .types import (
+    ARROW,
     TCon,
     TForall,
     TVar,
     Type,
+    arrow,
     constructor_arity,
     ftv,
     ftv_set,
@@ -725,6 +727,72 @@ class SolverState:
         # Unification depth stacks on top of whatever inference depth is
         # live, so the combined guard tracks real interpreter frames.
         self._unify(delta, left, right, supply, {}, None, None, self.depth)
+
+    def unify_app(
+        self,
+        delta: KindEnv,
+        fn_ty: Type,
+        arg_ty: Type,
+        result: str,
+        supply: NameSupply,
+    ) -> Type:
+        """Figure 16's application premise: unify ``fn_ty`` with
+        ``arg_ty -> result`` for the fresh name ``result`` and return the
+        type ``result`` is solved to.
+
+        When ``fn_ty`` is already an arrow ``A -> B`` and ``B`` is not an
+        unsolved flexible variable, ``result := B`` is the only outcome:
+        only ``A ~ arg_ty`` is unified, and ``result`` is never declared
+        or bound.  The bind it replaces could not fail or act --
+        ``result`` is fresh, so the occurs check cannot fire; it sits at
+        the current level, so :meth:`_adjust_levels` returns at once; it
+        is ``POLY``, so there is no monomorphism check; and ``B`` is part
+        of an in-scope, well-formed type, so :meth:`_check_wf` holds.
+        The steps are charged as the generic unification charges them,
+        in the same order (the arrow pair, the domain pair one level
+        deeper, the codomain pair and the bind, the zonk of ``B``), so a
+        budget runs out at the same node either way.  The codomain
+        pair's depth check is the domain pair's, already passed.
+
+        Otherwise ``result`` is declared and unified generically.  A
+        flexible codomain must take that path: it is bound to
+        ``result``, which later messages then name.
+        """
+        fn_ty = self.prune(fn_ty)
+        if isinstance(fn_ty, TCon) and fn_ty.con == ARROW:
+            domain, codomain = fn_ty.args
+            codomain = self.prune(codomain)
+            if not (isinstance(codomain, TVar) and codomain.name in self.kinds):
+                depth = self.depth
+                max_depth = self.max_depth
+                fuelled = self.fuel is not None
+                if fuelled:
+                    self.spend()
+                if max_depth is not None and depth >= max_depth:
+                    raise DepthExceededError(max_depth)
+                # The domain pair sits one level below the arrow pair.
+                self.depth = depth + 1
+                try:
+                    self.unify(delta, domain, arg_ty, supply)
+                finally:
+                    self.depth = depth
+                if fuelled:
+                    self.spend()  # the codomain pair
+                    self.spend()  # the bind
+                solved = self.zonk(codomain)
+                # The bind's occurs check cached this set, and identity
+                # short-circuits under binder maps read that cache.
+                ftv_set(solved)
+                if fuelled:
+                    # The bind emptied the zonk memos, and a zonk spends
+                    # a step per store entry it re-resolves: drop them
+                    # here too, so later zonks spend what they did.
+                    self._clean.clear()
+                    self._zonk_memo.clear()
+                return solved
+        self.declare(result, Kind.POLY)
+        self.unify(delta, fn_ty, arrow(arg_ty, TVar(result)), supply)
+        return self.prune(TVar(result))
 
     def _unify(
         self,

@@ -398,8 +398,10 @@ class _Broker:
         timeout.  Futures of the batch that was in flight resolve to
         deterministic ``FML911`` verdicts (volatile: never cached), so
         their clients get a structured retryable answer instead of
-        hanging with the thread.  Queued-but-undispatched work carries
-        over to the replacement service untouched.
+        hanging with the thread; a half-open probe among them is handed
+        on (:meth:`_CircuitBreaker.cancel_probe`).  Queued-but-
+        undispatched work carries over to the replacement service
+        untouched.
         """
         if self._pump_task is not None and not self._pump_task.done():
             self._pump_task.cancel()
@@ -426,6 +428,12 @@ class _Broker:
                 )
         if self.waiting:
             self._pump_task = asyncio.get_running_loop().create_task(self._pump())
+        else:
+            # A half-open breaker admits nothing after its probe, so with
+            # nothing queued the probe was in the stale batch and will
+            # never report: hand it on to the next request, as a shed
+            # probe does.
+            self.breaker.cancel_probe()
 
     def close(self, join_timeout: float = 5.0) -> None:
         """Release the shard: abort the service (unblocking a dispatch
@@ -621,6 +629,10 @@ class ReproServer:
         self._http_requests = 0
         self._http_errors = 0
         self.draining = False
+        #: live connection handlers, and the writers of connections
+        #: waiting for their next request (see :meth:`_close_connections`).
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._server: asyncio.AbstractServer | None = None
         self._supervisor_task: asyncio.Task | None = None
         self.host: str | None = None
@@ -977,9 +989,15 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
-                request_line = await reader.readline()
+                self._idle.add(writer)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").split()
@@ -1005,7 +1023,12 @@ class ReproServer:
                     )
                     break
                 body = await reader.readexactly(length) if length else b""
-                keep_alive = headers.get("connection", "").lower() != "close"
+                # A draining server closes each connection after its
+                # response, so shutdown never waits on a keep-alive client.
+                keep_alive = (
+                    headers.get("connection", "").lower() != "close"
+                    and not self.draining
+                )
                 self._http_requests += 1
                 try:
                     status, payload = await self._route(method, target, body)
@@ -1025,6 +1048,7 @@ class ReproServer:
         ):
             pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1101,9 +1125,34 @@ class ReproServer:
             self._supervisor_task = None
         if self._server is not None:
             self._server.close()
+            await self._close_connections()
             await self._server.wait_closed()
             self._server = None
         self.close()
+
+    async def _close_connections(self) -> None:
+        """Let every client connection finish before the loop goes away.
+
+        Idle keep-alive connections are closed at once; a busy one
+        closes after its response, which a draining server sends with
+        ``Connection: close``.  Handlers still running after
+        ``drain_timeout`` are cancelled.  Left open, idle clients hold
+        ``Server.wait_closed`` (Python 3.12) until they hang up, and the
+        loop's teardown cancels their handlers (Python 3.11 logs a
+        traceback for each).
+        """
+        self.draining = True
+        for writer in tuple(self._idle):
+            writer.close()
+        if not self._connections:
+            return
+        _, late = await asyncio.wait(
+            set(self._connections), timeout=self.drain_timeout
+        )
+        for task in late:
+            task.cancel()
+        if late:
+            await asyncio.wait(late)
 
     def close(self) -> None:
         """Release brokers, services and the persistent cache

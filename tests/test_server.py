@@ -1008,6 +1008,54 @@ class TestSupervisorRebuild:
             _, stats = get(handle.url, "/stats")
             assert stats["classes"]["default"]["rebuilds"] == 1
 
+    def test_rebuild_hands_a_stale_probe_on(self):
+        # The half-open probe is in the batch a wedged dispatch thread
+        # holds.  The rebuild answers it FML911 without a verdict from
+        # any service, so the breaker must not stay half-open (every
+        # later request would shed FML904 with nothing left to close it).
+        with ServerThread(
+            config=SessionConfig(),
+            probe_interval=None,
+            probe_timeout=0.05,
+            probe_limit=1,
+            breaker_threshold=1,
+        ) as handle:
+            server = handle.server
+            group = server.broker("default")
+            shard = group.shards[0]
+            clock = FakeClock()
+            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
+            shard.breaker.record_failure()
+            clock.now = 5.0  # cooldown over: the next request probes
+            gate = threading.Event()
+            try:
+                shard.executor.submit(gate.wait)
+
+                async def admit():
+                    return server._admit(group, "poly ~id")
+
+                probe = handle.run_on_loop(admit)
+                assert shard.breaker.state == "half_open"
+                handle.run_on_loop(lambda: asyncio.sleep(0.1))
+                assert shard.current_batch  # the probe, behind the wedge
+                handle.run_on_loop(server._supervise_once)
+                assert shard.rebuilds == 1
+
+                async def harvest():
+                    return await asyncio.wait_for(probe, timeout=5)
+
+                (diag,) = handle.run_on_loop(harvest).diagnostics
+                assert diag.code == "FML911"
+            finally:
+                gate.set()  # release the abandoned thread
+            assert shard.breaker.state == "open"
+            clock.now = 1000.0
+            calls = count_dispatches(shard)
+            status, body = post_check(handle.url, {"source": "poly ~id"})
+            assert status == 200 and json.loads(body)["ok"] is True
+            assert calls == [["poly ~id"]]  # a probe, not an FML904 shed
+            assert shard.breaker.state == "closed"
+
     def test_probe_skips_busy_but_progressing_shards(self):
         with ServerThread(
             config=SessionConfig(), probe_interval=None, probe_timeout=0.05
@@ -1108,4 +1156,73 @@ class TestDrain:
         assert "draining" in json.loads(late_body)["error"]
         status, body = inflight["response"]
         assert status == 200 and json.loads(body)["ok"] is True
+        assert "drained clean" in process.stdout.read()
+
+    def test_sigterm_exits_with_an_idle_keep_alive_client_connected(self):
+        # One answered request, the connection left open: the drain must
+        # close it instead of waiting for the client (Python 3.12's
+        # wait_closed waits for every connection) or leaving its handler
+        # to be cancelled at loop teardown (Python 3.11 logs a traceback).
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        drain_timeout = 2.0
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--port",
+                "0",
+                "--no-persist",
+                "--drain-timeout",
+                str(drain_timeout),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+        client = None
+        try:
+            banner = process.stdout.readline()
+            assert "listening on http://" in banner
+            host, port = banner.split("http://")[1].split()[0].rsplit(":", 1)
+            client = socket.create_connection((host, int(port)), timeout=60)
+            body = json.dumps({"source": "poly ~id"}).encode()
+            client.sendall(
+                b"POST /check HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                + body
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += client.recv(65536)
+            head, payload = reply.split(b"\r\n\r\n", 1)
+            assert b"Connection: keep-alive" in head
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            while len(payload) < length:
+                payload += client.recv(65536)
+            assert json.loads(payload)["ok"] is True
+            process.send_signal(signal.SIGTERM)
+            try:
+                returncode = process.wait(timeout=drain_timeout + 10)
+            except subprocess.TimeoutExpired:
+                returncode = None  # still waiting on the idle client
+            else:
+                assert client.recv(1) == b""  # the server hung up on us
+        finally:
+            if client is not None:
+                client.close()
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                process.kill()
+        stderr = process.stderr.read()
+        assert returncode == 0
+        assert "Traceback" not in stderr, stderr
         assert "drained clean" in process.stdout.read()

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.core.kinds import Kind, KindEnv
-from repro.core.solver import SolverState
+from repro.core.solver import Budget, SolverState
 from repro.core.types import (
     INT,
     TCon,
@@ -15,11 +16,13 @@ from repro.core.types import (
     list_of,
 )
 from repro.errors import (
+    BudgetExceededError,
     MonomorphismError,
     OccursCheckError,
     SkolemEscapeError,
     UnificationError,
 )
+from repro.names import NameSupply
 from tests.helpers import fixed, flexible, t
 
 
@@ -183,3 +186,99 @@ class TestUnifyInPlace:
         s = solver(x="poly")
         with pytest.raises(UnificationError):
             s.unify(EMPTY_DELTA, TVar("x"), TCon("NoSuchCon", ()))
+
+
+def _generic_app(s: SolverState, fn, arg, result: str):
+    """Figure 16's application premise as plain unification: declare
+    ``result`` and unify ``fn`` with ``arg -> result``."""
+    s.declare(result, Kind.POLY)
+    s.unify(EMPTY_DELTA, fn, arrow(arg, TVar(result)))
+    return s.prune(TVar(result))
+
+
+def _outcome(run, budget: Budget, **kinds):
+    """Run one application on a fresh budgeted state whose store already
+    solves ``y``, then zonk the whole problem; return the result and the
+    steps spent after each phase, or where the budget ran out."""
+    s = SolverState(flexible(**kinds), budget=budget)
+    spent = []
+    try:
+        s.unify(EMPTY_DELTA, TVar("y"), INT)
+        spent.append(s.steps)
+        ty = run(s)
+        spent.append(s.steps)
+        s.zonk(arrow(TVar("x"), TVar("y")))
+        spent.append(s.steps)
+    except BudgetExceededError as exc:
+        return (type(exc).__name__, str(exc), spent, s.steps)
+    return (ty, spent)
+
+
+class TestUnifyApp:
+    """``SolverState.unify_app``: a known arrow's result is read off
+    without declaring or binding the result variable; everything else
+    is plain unification with ``arg -> result``."""
+
+    def test_known_arrow_adds_no_binding_or_declaration(self):
+        s = SolverState()
+        ty = s.unify_app(EMPTY_DELTA, t("Int -> Bool"), INT, "%9", NameSupply())
+        assert ty == t("Bool")
+        assert s.store == {} and s.kinds == {} and s.levels == {}
+
+    def test_known_arrow_still_unifies_the_domain(self):
+        s = solver(x="poly", y="poly")
+        fn = arrow(TVar("x"), list_of(TVar("y")))
+        s.unify(EMPTY_DELTA, TVar("y"), INT)
+        ty = s.unify_app(EMPTY_DELTA, fn, t("Bool"), "r", NameSupply())
+        assert ty == list_of(INT)
+        assert s.zonk(TVar("x")) == t("Bool")
+        assert "r" not in s.store and "r" not in s.kinds
+
+    def test_flexible_codomain_binds_it_to_the_result(self):
+        s = solver(y="poly")
+        ty = s.unify_app(EMPTY_DELTA, arrow(INT, TVar("y")), INT, "r", NameSupply())
+        assert ty == TVar("r")
+        assert s.store["y"] == TVar("r") and "r" in s.kinds
+
+    def test_non_arrow_is_unified_generically(self):
+        s = solver(f="poly")
+        ty = s.unify_app(EMPTY_DELTA, TVar("f"), INT, "r", NameSupply())
+        assert ty == TVar("r")
+        assert s.zonk(TVar("f")) == arrow(INT, TVar("r"))
+        with pytest.raises(UnificationError, match=r"`Int` with `Bool -> r`"):
+            SolverState().unify_app(EMPTY_DELTA, INT, t("Bool"), "r", NameSupply())
+
+    @pytest.mark.parametrize("limit", range(1, 24))
+    def test_budgets_charge_as_plain_unification(self, limit):
+        # Same result, same fuel spent, same FML901/FML902 point, and a
+        # later zonk spends the same steps (the bind emptied the memos).
+        fn = arrow(arrow(TVar("x"), TVar("y")), list_of(TVar("y")))
+        arg = arrow(t("Bool"), TVar("z"))
+        kinds = {"x": "poly", "y": "poly", "z": "poly"}
+
+        def fast(s):
+            return s.unify_app(EMPTY_DELTA, fn, arg, "r", NameSupply())
+
+        def slow(s):
+            return _generic_app(s, fn, arg, "r")
+
+        for budget in (Budget(fuel=limit), Budget(max_depth=limit)):
+            assert _outcome(fast, budget, **kinds) == _outcome(slow, budget, **kinds)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # `inc 1` reads its result off `Int -> Int` but still draws
+            # `%2`, so the next application's variable is `%3`.
+            ("fun x -> inc 1 x", "cannot unify `Int` with `%1 -> %3` (constructor clash)"),
+            # `f 2` meets `Int -> %2`, a flexible codomain: `%2` is bound
+            # to the fresh `%3`, which the message then names.
+            (
+                "fun f -> let x = f 1 in let y = f 2 in y y",
+                "occurs check failed: `%3` occurs in `%3 -> %4`",
+            ),
+        ],
+    )
+    def test_machine_names_in_messages(self, source, message):
+        (diag,) = Session().check(source).diagnostics
+        assert diag.message == message
