@@ -16,12 +16,6 @@ down the serving-tier claims:
   rows share a group, making the ratio visible in the JSON; the
   dedicated ratio test asserts one dispatch per client uncoalesced and
   at most two per wave coalesced, and records the throughput ratio.
-* **Degraded-shard throughput** (``serve-degraded``): one of four
-  shards persistently crash-poisoned via a :class:`FaultPlan`, with
-  the per-shard circuit breaker enabled versus disabled.  Breaker
-  open, requests routed to the sick shard shed instantly as FML904;
-  breaker off, every one of them burns a worker-pool respawn.  The
-  retained-throughput ratio lands in ``extra_info``.
 
 Latency percentiles are computed from the raw per-request samples --
 pytest-benchmark's own stats describe whole waves, not requests --
@@ -42,7 +36,7 @@ import pytest
 
 from repro.corpus.examples import EXAMPLES
 from repro.server import ServerThread
-from repro.service import FaultPlan, SessionConfig
+from repro.service import SessionConfig
 
 #: The traffic mix: every self-contained Figure 1 program (well- and
 #: ill-typed, exactly what a frontend sees), one request each.
@@ -203,102 +197,3 @@ def test_bench_coalescing_throughput_ratio(benchmark):
     assert (plain_dispatches, plain_coalesced) == (waves * clients, 0)
     assert dispatches + coalesced == waves * clients
     assert waves <= dispatches <= 2 * waves, (dispatches, coalesced)
-
-
-#: serve-degraded wave size (6 of 24 distinct keys land on the sick
-#: shard under the fingerprint routing).
-DEGRADED_WAVE = 24
-
-#: Monotonic key stream: every serve-degraded wave uses fresh sources.
-#: Repeating a key would measure the quarantine (degraded verdicts are
-#: pinned per source and answered without dispatch), not the breaker.
-_degraded_keys = iter(range(10**9))
-
-
-def fresh_sources(count: int = DEGRADED_WAVE) -> list[str]:
-    return [f"1 + {next(_degraded_keys)}" for _ in range(count)]
-
-
-@pytest.mark.benchmark(group="serve-degraded")
-def test_bench_degraded_shard_throughput(benchmark):
-    """Throughput retained when one of four shards is sick.  Shard 1's
-    worker hangs on every dispatch (persistent FaultPlan); the 250ms
-    deadline degrades each dispatched request to FML910.  Breaker off,
-    every *new* key routed there burns a full deadline on the shard's
-    dispatch thread -- the wave's critical path.  Breaker on, two
-    timeouts trip the circuit and the rest shed instantly as
-    deterministic FML904.  Waves use fresh keys throughout: repeats
-    would hit the quarantine and hide the dispatch cost entirely."""
-    sick = FaultPlan(hang=(0,), persistent=True, period=1, hang_seconds=1.0)
-
-    def run(breaker_threshold: "int | None") -> float:
-        # jobs=2 per shard: the pooled path, where an injected hang
-        # really occupies a worker until the wall-clock deadline fires
-        # (jobs=1 merely *simulates* faults, free of charge, which
-        # would hide exactly the cost the breaker saves).
-        with ServerThread(
-            config=SessionConfig(),
-            jobs=2,
-            timeout=0.25,
-            cache=False,
-            shards=4,
-            shard_fault_plans={1: sick},
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown=300.0,
-            probe_interval=None,
-            max_retries=0,
-            retry_backoff=0.0,
-        ) as handle:
-            # Warm pools and sockets; with the breaker on this wave
-            # also trips shard 1's circuit, so the timed wave below
-            # measures the open-breaker steady state.
-            drive_wave(handle.url, fresh_sources(), [])
-            group = handle.server.broker("default")
-            sources = fresh_sources()
-            on_sick = [
-                group.shard_for(group.cache_key(source)) is group.shards[1]
-                for source in sources
-            ]
-            before = get(handle.url + "/stats")["classes"]["default"]
-            started = time.perf_counter()
-            responses = drive_wave(handle.url, sources, [])
-            elapsed = time.perf_counter() - started
-            after = get(handle.url + "/stats")["classes"]["default"]
-            health = get(handle.url + "/healthz")
-        # Counted over the timed wave from the sick shard's /stats
-        # entry: requests the breaker shed, requests that reached the
-        # shard's service, and breaker trips.
-        sick_before, sick_after = before["shards"][1], after["shards"][1]
-        counts = (
-            sick_after["circuit_shed"] - sick_before["circuit_shed"],
-            sick_after["requests"] - sick_before["requests"],
-            sick_after["breaker"]["trips"] - sick_before["breaker"]["trips"],
-        )
-        sick_codes = {
-            r["diagnostics"][0]["code"]
-            for r, sick_key in zip(responses, on_sick)
-            if sick_key
-        }
-        routed = sum(on_sick)
-        assert routed > 0
-        if breaker_threshold is not None:
-            # Tripped during warm-up, open for the whole timed wave:
-            # every sick-shard key sheds, none is dispatched.
-            assert counts == (routed, 0, 0), (counts, routed)
-            assert health["shards"]["default"] == ["ok", "open", "ok", "ok"]
-            assert sick_codes == {"FML904"}
-        else:
-            # Every sick-shard key dispatched and burned its deadline
-            # (FML911 if the discarded pool's teardown looks crashy).
-            assert after["trips"] == 0
-            assert counts == (0, routed, 0), (counts, routed)
-            assert sick_codes <= {"FML910", "FML911"}
-        assert any(r["ok"] for r in responses)  # healthy shards kept serving
-        return len(sources) / elapsed
-
-    no_breaker_rps = run(None)
-    breaker_rps = benchmark.pedantic(run, args=(2,), rounds=3, iterations=1)
-    retained = breaker_rps / no_breaker_rps
-    benchmark.extra_info["breaker_open_rps"] = round(breaker_rps, 1)
-    benchmark.extra_info["no_breaker_rps"] = round(no_breaker_rps, 1)
-    benchmark.extra_info["throughput_retained"] = round(retained, 2)

@@ -27,8 +27,9 @@ The main entry points:
   ``repro check --engine=...`` immediately.
 * :class:`TypecheckService` (:mod:`repro.service`) -- the serving
   layer: batch checks across a worker-process pool with a result cache,
-  JSON-ready request/response records, and fault tolerance (per-request
-  deadlines, crash recovery, :class:`FaultPlan` injection).
+  JSON-ready request/response records, and fault tolerance for worker
+  pools (per-request deadlines, crash recovery, :class:`FaultPlan`
+  injection in workers).
 * :class:`Budget` (:mod:`repro.core.solver`) -- the deterministic work
   budget (``fuel``/``max_depth``) that degrades runaway inference to a
   stable ``FML901``/``FML902`` diagnostic instead of running away;
@@ -54,7 +55,7 @@ The main entry points:
 """
 
 from .analysis import LintContext, LintPass, all_passes, run_lint
-from .api import ENGINES, Result, Session, check_programs
+from .api import ENGINES, Result, Session
 from .cache import PersistentCache
 from .core.check import typeable
 from .engines import Engine, get_engine, register_engine, unregister_engine
@@ -83,7 +84,6 @@ from .corpus.signatures import prelude, prelude_with
 from .diagnostics import Diagnostic, Severity, Span, diagnostic_from_error
 from .errors import (
     BudgetExceededError,
-    CircuitOpenError,
     FreezeMLError,
     LoadShedError,
     ResilienceError,
@@ -104,7 +104,6 @@ __all__ = [
     "BudgetExceededError",
     "CheckRequest",
     "CheckResponse",
-    "CircuitOpenError",
     "Diagnostic",
     "Engine",
     "FaultPlan",
@@ -128,7 +127,6 @@ __all__ = [
     "TypeInferenceError",
     "UnificationError",
     "all_passes",
-    "check_programs",
     "diagnostic_from_error",
     "get_engine",
     "register_engine",

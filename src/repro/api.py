@@ -758,46 +758,9 @@ class Session:
         )
 
 
-def check_programs(
-    sources: Sequence[str],
-    *,
-    engine: str = "freezeml",
-    strategy: str = VARIABLE,
-    value_restriction: bool = True,
-    jobs: int = 1,
-    cache: bool = True,
-) -> list[Result]:
-    """One-shot batch check: a fresh prelude service over ``sources``.
-
-    .. deprecated:: 1.1
-        This is a thin alias over
-        :class:`repro.service.TypecheckService` (kept so no third
-        entrypoint family appears); new code should construct the
-        service directly -- it exposes the cache statistics, the
-        request/response records and a persistent worker pool.
-    """
-    import warnings
-
-    from .service import SessionConfig, TypecheckService
-
-    warnings.warn(
-        "check_programs is deprecated since repro 1.1; construct "
-        "repro.service.TypecheckService directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    config = SessionConfig(
-        engine=engine, strategy=strategy, value_restriction=value_restriction
-    )
-    with TypecheckService(config, jobs=jobs, cache=cache) as service:
-        return [response.result for response in service.check_many(sources)]
-
-
 __all__ = [
     "ENGINES",
     "Result",
     "Session",
     "check_document_json",
-    "check_programs",
 ]

@@ -63,14 +63,13 @@ Warnings never change the exit status unless ``--strict-warnings`` is
 given, which turns an otherwise-clean exit 0 into exit 1 when any
 warning was reported.
 
-    python -m repro serve [--host ADDR] [--port N] [--jobs N] [--shards N]
+    python -m repro serve [--host ADDR] [--port N] [--jobs N]
                           [--engine=ENGINE] [--strategy=v|e]
                           [--no-value-restriction] [--fuel N]
                           [--max-depth N] [--timeout SECS]
                           [--cache=FILE | --no-persist] [--no-cache]
-                          [--max-pending N] [--no-coalesce]
-                          [--breaker-threshold N | --no-breaker]
-                          [--breaker-cooldown SECS] [--drain-timeout SECS]
+                          [--max-pending N] [--no-coalesce] [--lint]
+                          [--drain-timeout SECS]
 
 starts the asyncio HTTP serving tier (:mod:`repro.server`): ``POST
 /check`` (single program or batch -- batch responses are byte-identical
@@ -81,14 +80,13 @@ persist across restarts in a SQLite cache (``--cache=FILE``; default
 in-memory only), and requests beyond ``--max-pending`` queued sources
 are shed to the deterministic ``FML903`` verdict.  A request may name
 a fuel class (``{"fuel_class": "low" | "default" | "high"}``) resolved
-against the ``--fuel`` base.  ``--shards N`` splits each class's
-keyspace across N supervised services (dispatch thread + worker pool
-each); a shard tripping its circuit breaker (``--breaker-threshold``
-consecutive fault verdicts, re-probed after ``--breaker-cooldown``
-seconds) sheds its keys to the deterministic ``FML904`` verdict while
-the other shards keep serving.  SIGTERM drains clean: new ``POST
-/check`` gets 503, in-flight work completes up to ``--drain-timeout``
-seconds, the persistent cache flushes, and the process exits 0.
+against the ``--fuel`` base; each class has one service behind one
+dispatch thread.  ``--jobs N`` runs checks in N worker processes,
+where ``--timeout`` preempts a hung worker and a crashed one is
+recovered (``FML910``/``FML911``, the same machinery as ``check``).
+SIGTERM drains clean: new ``POST /check`` gets 503, in-flight work
+completes up to ``--drain-timeout`` seconds, the persistent cache
+flushes, and the process exits 0.
 
     python -m repro bench [--quick] [--all] [--suite=A,B] [--group=GLOB]
                           [--output=FILE] [--compare=OLD.json]
@@ -474,11 +472,10 @@ def run_check(argv: list[str]) -> int:
 
 SERVE_USAGE = (
     "usage: python -m repro serve [--host ADDR] [--port N] [--jobs N] "
-    "[--shards N] [--engine=ENGINE] [--strategy=v|e] "
+    "[--engine=ENGINE] [--strategy=v|e] "
     "[--no-value-restriction] [--fuel N] [--max-depth N] [--timeout SECS] "
     "[--cache=FILE | --no-persist] [--no-cache] "
     "[--max-pending N] [--no-coalesce] [--lint] "
-    "[--breaker-threshold N | --no-breaker] [--breaker-cooldown SECS] "
     "[--drain-timeout SECS]"
 )
 
@@ -502,9 +499,6 @@ def parse_serve_args(argv: list[str]) -> dict | str:
         "max_depth": None,
         "timeout": None,
         "lint": False,
-        "shards": 1,
-        "breaker_threshold": 5,
-        "breaker_cooldown": 5.0,
         "drain_timeout": 10.0,
     }
     i = 0
@@ -534,18 +528,8 @@ def parse_serve_args(argv: list[str]) -> dict | str:
             if raw is None:
                 return "--cache needs a file path"
             opts["cache_path"] = raw
-        elif arg == "--no-breaker":
-            opts["breaker_threshold"] = None
-        elif arg in (
-            "--port", "--jobs", "--max-pending", "--shards", "--breaker-threshold"
-        ) or arg.startswith(
-            (
-                "--port=",
-                "--jobs=",
-                "--max-pending=",
-                "--shards=",
-                "--breaker-threshold=",
-            )
+        elif arg in ("--port", "--jobs", "--max-pending") or arg.startswith(
+            ("--port=", "--jobs=", "--max-pending=")
         ):
             flag = "--" + arg.lstrip("-").split("=", 1)[0]
             raw, i = _flag_value(argv, i, flag)
@@ -555,13 +539,7 @@ def parse_serve_args(argv: list[str]) -> dict | str:
                 value = int(raw)
             except ValueError:
                 return f"{flag} needs an integer, got {raw!r}"
-            floor = {
-                "--port": 0,
-                "--jobs": 1,
-                "--max-pending": 0,
-                "--shards": 1,
-                "--breaker-threshold": 1,
-            }[flag]
+            floor = {"--port": 0, "--jobs": 1, "--max-pending": 0}[flag]
             if value < floor:
                 return f"{flag} must be >= {floor}, got {value}"
             opts[flag.lstrip("-").replace("-", "_")] = value
@@ -589,21 +567,17 @@ def parse_serve_args(argv: list[str]) -> dict | str:
                 return f"--timeout needs a number of seconds, got {raw!r}"
             if opts["timeout"] <= 0:
                 return f"--timeout must be positive, got {raw}"
-        elif arg in ("--breaker-cooldown", "--drain-timeout") or arg.startswith(
-            ("--breaker-cooldown=", "--drain-timeout=")
-        ):
-            flag = "--" + arg.lstrip("-").split("=", 1)[0]
-            key = flag.lstrip("-").replace("-", "_")
-            raw, i = _flag_value(argv, i, flag)
+        elif arg == "--drain-timeout" or arg.startswith("--drain-timeout="):
+            raw, i = _flag_value(argv, i, "--drain-timeout")
             if raw is None:
-                return f"{flag} needs a number of seconds"
+                return "--drain-timeout needs a number of seconds"
             try:
                 value = float(raw)
             except ValueError:
-                return f"{flag} needs a number of seconds, got {raw!r}"
+                return f"--drain-timeout needs a number of seconds, got {raw!r}"
             if value < 0:
-                return f"{flag} must be >= 0, got {raw}"
-            opts[key] = value
+                return f"--drain-timeout must be >= 0, got {raw}"
+            opts["drain_timeout"] = value
         else:
             return f"unknown serve option {arg}"
         i += 1
@@ -643,9 +617,6 @@ def run_serve(argv: list[str]) -> int:
             cache_path=cache_path if opts["persist"] else None,
             max_pending=opts["max_pending"],
             coalesce=opts["coalesce"],
-            shards=opts["shards"],
-            breaker_threshold=opts["breaker_threshold"],
-            breaker_cooldown=opts["breaker_cooldown"],
             drain_timeout=opts["drain_timeout"],
         )
     except ValueError as exc:

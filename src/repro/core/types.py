@@ -37,14 +37,14 @@ with interning on.  The consequences the solver relies on:
 
 The tables hold their nodes *weakly* (a dead type's entry disappears
 with it), so interning never pins unbounded memory across solver runs;
-see :func:`intern_stats`.  A small strong FIFO ring
-(``REPRO_INTERN_RECENT`` entries, default 16384) keeps *recently built*
-nodes alive through the gap between solver runs: inference draws its
-fresh names from a per-run supply, so consecutive runs over the same
-program rebuild the same keys, and without the ring every generation
-would die with its run and be re-allocated from scratch -- with it,
-re-construction is a table hit.  :func:`intern_cache_clear` drops the
-ring (memory-pressure hooks, leak tests).
+see :func:`intern_stats`.  A small strong FIFO ring (:data:`INTERN_RECENT`
+entries) keeps *recently built* nodes alive through the gap between
+solver runs: inference draws its fresh names from a per-run supply, so
+consecutive runs over the same program rebuild the same keys, and
+without the ring every generation would die with its run and be
+re-allocated from scratch -- with it, re-construction is a table hit.
+:func:`intern_cache_clear` drops the ring (memory-pressure hooks, leak
+tests).
 
 Setting ``REPRO_NO_INTERN=1`` in the environment disables interning at
 import time -- every constructor then allocates a fresh node and
@@ -132,26 +132,15 @@ _tcon_remove = _make_remover(_TCON_TABLE)
 _tforall_remove = _make_remover(_TFORALL_TABLE)
 
 
-def _recent_ring() -> "deque | None":
-    """The strong FIFO ring pinning recently interned nodes.
+#: Capacity of the strong FIFO ring pinning recently interned nodes.
+#: Fresh names come from per-run supplies, so back-to-back runs over
+#: the same input rebuild identical keys; the ring keeps the previous
+#: generation alive just long enough for those rebuilds to hit the
+#: weak tables instead of re-allocating.  Bounded (FIFO eviction), so
+#: worst-case pinned memory is a few MB, not proportional to workload.
+INTERN_RECENT = 16_384
 
-    Fresh names come from per-run supplies, so back-to-back runs over
-    the same input rebuild identical keys; the ring keeps the previous
-    generation alive just long enough for those rebuilds to hit the
-    weak tables instead of re-allocating.  Bounded (FIFO eviction), so
-    worst-case pinned memory is a few MB, not proportional to workload.
-    """
-    if not INTERNING:
-        return None
-    raw = os.environ.get("REPRO_INTERN_RECENT", "16384")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 16384
-    return deque(maxlen=cap) if cap > 0 else None
-
-
-_RECENT = _recent_ring()
+_RECENT = deque(maxlen=INTERN_RECENT) if INTERNING else None
 
 
 def intern_cache_clear() -> None:

@@ -28,19 +28,20 @@ code      meaning                          deterministic?
 FML901    solver fuel budget exhausted     yes
 FML902    recursion-depth guard fired      yes
 FML903    shed by admission control        bytes only
-FML904    shed by an open circuit breaker  bytes only
+FML904    retired (never emitted)          --
 FML910    per-request deadline exceeded    no
 FML911    worker crashed / raised          no
 FML912    interpreter recursion limit      no
 ========  ===============================  ==============
 
-``FML903`` and ``FML904`` are hybrids: their verdict *bytes* are a
-pure function of the request and the server configuration (same
-message and whole-source span at any worker or shard count, so
-``--jobs 1`` and ``--jobs N`` servers shed identically), but *whether*
-a request is shed depends on instantaneous queue depth (903) or on a
-shard's recent fault history (904) -- so they are grouped with the
-volatile codes and never cached or persisted.
+``FML903`` is a hybrid: its verdict *bytes* are a pure function of
+the request and the server configuration (same message and
+whole-source span at any worker count, so ``--jobs 1`` and ``--jobs
+N`` servers shed identically), but *whether* a request is shed depends
+on instantaneous queue depth -- so it is grouped with the volatile
+codes and never cached or persisted.  ``FML904`` named a circuit
+breaker's shed verdict; the breaker is gone and the code stays
+reserved so it is never reused.
 """
 
 from __future__ import annotations
@@ -280,32 +281,6 @@ class LoadShedError(ResilienceError):
         )
 
 
-class CircuitOpenError(ResilienceError):
-    """A shard's circuit breaker refused this request before dispatch.
-
-    Raised (conceptually -- the server constructs the diagnostic
-    directly) when the shard owning this request's cache key has
-    tripped its breaker after repeated timeouts or crashes.  Like
-    :class:`LoadShedError` the verdict bytes are deterministic -- the
-    same message and whole-source span at any worker or shard count --
-    but the shed *decision* reflects the shard's recent fault history,
-    so the verdict is never cached or persisted: the same program
-    resubmitted after the breaker closes deserves a real answer.
-    """
-
-    code = "FML904"
-
-    def __init__(self, threshold: int | None = None):
-        self.threshold = threshold
-        detail = (
-            f" (breaker threshold {threshold})" if threshold is not None else ""
-        )
-        super().__init__(
-            f"request shed by an open circuit breaker{detail}: the shard "
-            "owning this key is recovering from repeated faults; retry later"
-        )
-
-
 class DeadlineExceededError(ResilienceError):
     """A per-request wall-clock deadline preempted typechecking.
 
@@ -399,13 +374,11 @@ DETERMINISTIC_GUARD_CODES = frozenset(
 
 #: FML9xx codes that depend on wall clock, load or environment: the
 #: serving caches (in-memory and persistent) must never store them.
-#: ``FML903``/``FML904`` belong here even though their bytes are
-#: deterministic -- the shed decision is a function of queue depth or
-#: breaker state, not of the program.
+#: ``FML903`` belongs here even though its bytes are deterministic --
+#: the shed decision is a function of queue depth, not of the program.
 VOLATILE_RESILIENCE_CODES = frozenset(
     {
         LoadShedError.code,
-        CircuitOpenError.code,
         DeadlineExceededError.code,
         WorkerCrashError.code,
         RecursionLimitError.code,

@@ -8,20 +8,18 @@ batches.  Three endpoints:
 * ``POST /check`` -- typecheck one program (``{"source": ...}``) or a
   batch (``{"programs": [...]}``); the batch response is byte-identical
   to ``python -m repro check FILE... --json`` for the same programs.
-* ``GET /healthz`` -- liveness plus per-shard *readiness*
-  (``ok``/``degraded``/``open``), distinct so a load balancer can route
-  around a recovering shard without restarting the process.
+* ``GET /healthz`` -- liveness: ``ok``, or ``draining`` once shutdown
+  has begun.
 * ``GET /stats`` -- serving counters: per-fuel-class
-  :class:`~repro.service.ServiceStats` (aggregated and per shard, with
-  breaker trips, rebuilds and shed counts), queue depth, cache
-  occupancy.
+  :class:`~repro.service.ServiceStats` (plus the hits answered on the
+  event loop), queue depth, cache occupancy.
 
 Architecture
 ------------
 
 * **Hits on the loop, misses in batches.**  Admission is synchronous:
   :meth:`ReproServer._admit` answers a program at once when its verdict
-  is known -- shed, or held in its shard's in-memory cache -- and
+  is known -- shed, or held in its broker's in-memory cache -- and
   otherwise returns the future its dispatch resolves.  A verdict is a
   deterministic function of (source, config), so a held one is exact
   and needs no checker: it is answered on the event loop, with no
@@ -32,47 +30,32 @@ Architecture
   and dies with the held verdict, and misses, sheds and coalesced
   followers never fill it.  ``/check`` admits every program of a
   request before it awaits any, so the request's misses reach the
-  shard's dispatch thread as one :meth:`~repro.service.
+  broker's dispatch thread as one :meth:`~repro.service.
   TypecheckService.check_many` batch, where the durable tier and the
   checker run.
 
-* **Sharded brokers with in-flight coalescing.**  Requests for one
-  (fuel class, lint) combination hash by cache key across ``shards``
-  independent :class:`_Broker` instances (a :class:`_ShardGroup`).
-  Each shard owns its own :class:`~repro.service.TypecheckService` --
-  its own dispatch thread and worker pool -- so a hung batch or broken
-  pool degrades only ``1/shards`` of keyspace instead of stalling the
-  class.  Because verdicts are byte-deterministic (the cache-key
-  fingerprint *is* the consistency protocol), any shard may serve any
-  key and responses stay byte-identical to the serial path at every
-  shard count.  Within a shard, a request whose cache key matches an
-  already queued or running source piggy-backs on that dispatch's
-  future -- N concurrent clients asking for the same program trigger
-  exactly one worker dispatch and receive N byte-identical responses.
+* **One broker per class, with in-flight coalescing.**  Each (fuel
+  class, lint) combination has one :class:`_Broker`: one
+  :class:`~repro.service.TypecheckService` behind one dispatch thread.
+  A request whose cache key matches an already queued or running
+  source piggy-backs on that dispatch's future -- N concurrent clients
+  asking for the same program trigger exactly one dispatch and receive
+  N byte-identical responses.
 
-* **Per-shard supervision.**  A supervisor task probes each shard's
-  dispatch thread (a no-op through its executor with a deadline);
-  repeated probe failures without batch progress mean the thread is
-  wedged behind a hang the service's own deadline machinery could not
-  preempt, and the shard is **rebuilt**: the stale service is aborted
-  (:meth:`~repro.service.TypecheckService.abort`), in-flight futures
-  degrade to deterministic ``FML911`` verdicts, and a fresh service +
-  dispatch thread take over.  Rebuilds are counted in ``/stats``.
+* **Faults are handled where they are real.**  A verdict is a
+  deterministic function of (source, config), so a fault belongs to a
+  program, not to a broker.  At ``--jobs N`` the service's pool gives
+  each request a deadline (``--timeout``), recovers crashed workers by
+  bisection, retries, and quarantines a program that keeps failing
+  (``FML910``/``FML911``, never cached).  At ``--jobs 1`` the guard is
+  deterministic fuel (``--fuel``/``--max-depth``).
 
-* **Per-shard circuit breakers.**  Each shard tracks consecutive
-  fault verdicts (``FML910``/``FML911``/``FML912``).  After
-  ``breaker_threshold`` of them the breaker *opens*: requests routed
-  to that shard are shed immediately to the deterministic ``FML904``
-  verdict instead of queueing into a dead shard.  After
-  ``breaker_cooldown`` seconds the next request is admitted as a
-  *half-open probe*; success closes the breaker, failure re-opens it.
-
-* **Persistent cross-process cache.**  All shards' services share one
+* **Persistent cross-process cache.**  All brokers' services share one
   :class:`~repro.cache.PersistentCache` (SQLite), so a verdict
   computed before a restart is served warm after it.  Volatile
-  verdicts (``FML903``/``FML904``/``FML91x``) never reach the durable
-  tier, and a corrupt cache file is quarantined and rebuilt underneath
-  the server rather than taking it down.
+  verdicts (``FML903``/``FML91x``) never reach the durable tier, and a
+  corrupt cache file is quarantined and rebuilt underneath the server
+  rather than taking it down.
 
 * **Admission control.**  At most ``max_pending`` sources may be
   queued or dispatching at once (coalesced followers are free -- they
@@ -92,7 +75,7 @@ Architecture
 * **Per-client fuel classes.**  A request may carry ``"fuel_class":
   "low" | "default" | "high"``; each class resolves to a fuel budget
   derived from the server's ``--fuel`` base (see
-  :func:`resolve_fuel_class`) and runs on its own shard group so cache
+  :func:`resolve_fuel_class`) and runs on its own broker so cache
   keys -- which include the budget -- stay exact.
 
 Determinism contract
@@ -100,33 +83,31 @@ Determinism contract
 
 The bytes of a ``/check`` response are a pure function of the request
 payload and the server configuration -- *not* of cache state, worker
-count, shard count, or traffic history.  The one field this forces a
-decision on is ``cached``: the service's truthful flag depends on
+count, or traffic history.  The one field this forces a decision on
+is ``cached``: the service's truthful flag depends on
 process history, so responses report the **batch-local** flag instead
 (``true`` exactly for repeated sources within the same request,
 matching what ``repro check`` prints for duplicate files).  Shed
-verdicts keep the contract: ``FML903``/``FML904`` bytes depend only on
-(source, config), never on which shard shed or when.  Process-level
-serving truth lives on ``/stats``.
+verdicts keep the contract: ``FML903`` bytes depend only on (source,
+config), never on when the request was shed.  Process-level serving
+truth lives on ``/stats``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .api import Result, check_document_json
 from .cache import PersistentCache, default_cache_path
 from .diagnostics import Span, diagnostic_from_error
-from .errors import CircuitOpenError, LoadShedError, WorkerCrashError
-from .service import FaultPlan, ServiceStats, SessionConfig, TypecheckService
+from .errors import LoadShedError
+from .service import SessionConfig, TypecheckService
 
 #: ``low``-class fuel when the server itself runs unbudgeted: generous
 #: enough for any realistic program, finite so an untrusted client
@@ -135,16 +116,6 @@ LOW_FUEL_FALLBACK = 1_000_000
 
 #: The fuel classes a request may name (see :func:`resolve_fuel_class`).
 FUEL_CLASSES = ("low", "default", "high")
-
-#: Verdict codes the circuit breaker counts as shard faults: the
-#: wall-clock/environment family.  Deterministic degradations
-#: (``FML901``/``FML902`` fuel verdicts) are *answers*, not faults.
-BREAKER_FAULT_CODES = frozenset({"FML910", "FML911", "FML912"})
-
-#: Environment variable carrying per-shard fault plans for chaos
-#: drills: ``|``-separated ``<shard>:<FaultPlan spec>`` entries, e.g.
-#: ``REPRO_SHARD_FAULT_PLAN="1:crash@0,persistent,period=1|3:hang@2"``.
-SHARD_FAULT_PLAN_VAR = "REPRO_SHARD_FAULT_PLAN"
 
 
 def resolve_fuel_class(name: str, base_fuel: int | None) -> int | None:
@@ -165,169 +136,34 @@ def resolve_fuel_class(name: str, base_fuel: int | None) -> int | None:
     )
 
 
-def parse_shard_fault_plans(spec: str) -> "dict[int, FaultPlan]":
-    """Parse a :data:`SHARD_FAULT_PLAN_VAR` value: ``|``-separated
-    ``<shard index>:<FaultPlan spec>`` entries (``|`` because the plan
-    grammar itself treats ``,`` and ``;`` as directive separators)."""
-    plans: dict[int, FaultPlan] = {}
-    for raw in spec.split("|"):
-        entry = raw.strip()
-        if not entry:
-            continue
-        index_text, sep, plan_text = entry.partition(":")
-        if not sep:
-            raise ValueError(
-                f"bad shard fault entry {entry!r} (expected '<shard>:<plan>')"
-            )
-        plans[int(index_text)] = FaultPlan.parse(plan_text)
-    return plans
-
-
-class _CircuitBreaker:
-    """One shard's admission gate: closed -> open -> half-open.
-
-    ``record_failure`` counts *consecutive* fault verdicts; at
-    ``threshold`` the breaker trips open and requests shed (``FML904``)
-    until ``cooldown`` seconds pass, after which :meth:`admit` lets
-    exactly one request through as a half-open probe -- its outcome
-    closes or re-opens the circuit.  ``threshold=None`` disables the
-    breaker entirely (every request is allowed).  ``clock`` is
-    injectable so tests drive the cooldown deterministically.
-    """
-
-    def __init__(
-        self,
-        threshold: int | None = 5,
-        cooldown: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if threshold is not None and threshold < 1:
-            raise ValueError(f"breaker threshold must be >= 1 or None, got {threshold}")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.clock = clock
-        self.state = "closed"
-        self.failures = 0  # consecutive fault verdicts since last success
-        self.trips = 0  # lifetime closed/half-open -> open transitions
-        self._reopen_at = 0.0
-
-    def admit(self) -> str:
-        """``"allow"`` (closed), ``"probe"`` (first request after the
-        cooldown; transitions to half-open), or ``"shed"``."""
-        if self.threshold is None or self.state == "closed":
-            return "allow"
-        if self.state == "open":
-            if self.clock() >= self._reopen_at:
-                self.state = "half_open"
-                return "probe"
-            return "shed"
-        # half-open: the probe is already in flight.
-        return "shed"
-
-    def cancel_probe(self) -> None:
-        """The probe :meth:`admit` let through was shed before it ran:
-        back to open with the cooldown still elapsed, so the next request
-        probes instead of every later one shedding behind a probe that
-        will never report."""
-        if self.state == "half_open":
-            self.state = "open"
-
-    def record_success(self) -> None:
-        self.failures = 0
-        if self.state == "half_open":
-            self.state = "closed"
-
-    def record_failure(self) -> bool:
-        """Count one fault verdict; returns True when this one tripped
-        the breaker open (from closed at threshold, or a failed
-        half-open probe)."""
-        if self.threshold is None:
-            return False
-        self.failures += 1
-        if self.state == "half_open" or self.failures >= self.threshold:
-            self.state = "open"
-            self.trips += 1
-            self.failures = 0
-            self._reopen_at = self.clock() + self.cooldown
-            return True
-        return False
-
-
-def _degraded_result(source: str, engine: str, message: str) -> Result:
-    """A deterministic FML911-family verdict constructed server-side
-    (shard rebuilt under an in-flight batch).  Volatile code, so it is
-    never cached -- a resubmission reaches the replacement service."""
-    diag = diagnostic_from_error(
-        WorkerCrashError(message), fallback_span=Span.whole_source(source)
-    )
-    return Result(
-        request="check",
-        ok=False,
-        source=source,
-        engine=engine,
-        diagnostics=(diag,),
-    )
-
-
 class _Broker:
-    """One shard's dispatch queue: coalesces identical in-flight
-    sources and feeds queued programs to the service as batches.
+    """One (fuel class, lint) combination's dispatch queue: coalesces
+    identical in-flight sources and feeds queued programs to the
+    service as batches.
 
-    All bookkeeping (``inflight``, ``waiting``, ``current_batch``) is
+    All bookkeeping (``inflight``, ``waiting``, ``loop_hits``) is
     touched only from the event loop; the single-worker executor
     serialises every call into the (not thread-safe) service, whose own
-    process pool is where parallelism happens.  The loop only reads
-    the service (``cache_key``, ``cached_verdict``) and bumps the two
+    process pool is where parallelism happens.  The loop only reads the
+    service (``cache_key``, ``cached_verdict``) and bumps the two
     counters the dispatch thread never writes (``coalesced``, ``shed``).
-
-    The broker also carries the shard's health machinery: its circuit
-    breaker, the supervisor's probe counters, and :meth:`rebuild` --
-    which abandons a wedged dispatch thread (the aborted service makes
-    it exit without spawning new pools) and replaces service + executor
-    wholesale.
     """
 
-    def __init__(
-        self,
-        service: TypecheckService,
-        *,
-        max_batch: int,
-        coalesce: bool,
-        index: int = 0,
-        service_factory: "Callable[[], TypecheckService] | None" = None,
-        breaker: "_CircuitBreaker | None" = None,
-    ):
+    def __init__(self, service: TypecheckService, *, max_batch: int, coalesce: bool):
         self.service = service
         self.coalesce = coalesce
         self.max_batch = max_batch
-        self.index = index
-        self.service_factory = service_factory or (lambda: service)
-        self.breaker = breaker or _CircuitBreaker(threshold=None)
-        self.executor = self._new_executor()
+        self.executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-dispatch"
+        )
         #: cache key -> the future every coalesced waiter shares, from
         #: admission until the dispatch resolves.
         self.inflight: dict[str, asyncio.Future] = {}
         self.waiting: list[tuple[str, str, asyncio.Future]] = []
-        #: the batch currently on the dispatch thread (rebuild resolves
-        #: these futures when it abandons the thread).
-        self.current_batch: list[tuple[str, str, asyncio.Future]] = []
         self._pump_task: asyncio.Task | None = None
-        #: executors abandoned by rebuilds, joined (bounded) at close.
-        self._abandoned: list[ThreadPoolExecutor] = []
-        # -- health counters (supervisor + /stats) --
-        self.rebuilds = 0
-        self.circuit_shed = 0
-        self.completed_batches = 0
-        #: in-memory hits answered on the event loop (never dispatched);
-        #: written only by the loop, folded into ``/stats`` totals.
+        #: in-memory hits answered on the event loop (never dispatched),
+        #: folded into the ``/stats`` totals.
         self.loop_hits = 0
-        self.probe_failures = 0
-        self.probed_batches = 0  # completed_batches at the last probe
-
-    def _new_executor(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-serve-s{self.index}"
-        )
 
     def submit(self, key: str, source: str) -> asyncio.Future:
         """Queue one admitted source; returns the future its verdict
@@ -346,217 +182,49 @@ class _Broker:
         while self.waiting:
             batch = self.waiting[: self.max_batch]
             del self.waiting[: len(batch)]
-            self.current_batch = batch
             sources = [source for _, source, _ in batch]
             try:
                 responses = await loop.run_in_executor(
                     self.executor, self.service.check_many, sources
                 )
             except Exception as exc:  # defensive: the API never raises
-                self.current_batch = []
                 for key, _, future in batch:
                     self.inflight.pop(key, None)
                     if not future.done():
                         future.set_exception(exc)
                 continue
-            self.current_batch = []
-            self.completed_batches += 1
             for (key, _, future), response in zip(batch, responses):
                 self.inflight.pop(key, None)
-                self._record(response.result)
                 if not future.done():
                     future.set_result(response.result)
 
-    def _record(self, result: Result) -> None:
-        """Feed one verdict to the circuit breaker: wall-clock/crash
-        codes are shard faults, everything else (including deterministic
-        fuel degradations and plain type errors) is a success."""
-        if any(d.code in BREAKER_FAULT_CODES for d in result.diagnostics):
-            self.breaker.record_failure()
-        else:
-            self.breaker.record_success()
-
-    def readiness(self) -> str:
-        """This shard's ``/healthz`` readiness: ``open`` (breaker
-        shedding), ``degraded`` (half-open probe in flight, or the
-        supervisor has unanswered probes), or ``ok``."""
-        if self.breaker.state == "open":
-            return "open"
-        if self.breaker.state == "half_open" or self.probe_failures > 0:
-            return "degraded"
-        return "ok"
-
-    def rebuild(self) -> None:
-        """Abandon a wedged dispatch thread and start fresh.
-
-        The supervisor cannot join the old thread -- it may be blocked
-        on a hung worker indefinitely -- so instead the old service is
-        :meth:`~repro.service.TypecheckService.abort`-ed (terminating
-        its pool unblocks the thread, and the abort flag stops it from
-        rebuilding pools through crash recovery) and left to die on the
-        abandoned executor, which :meth:`close` joins with a bounded
-        timeout.  Futures of the batch that was in flight resolve to
-        deterministic ``FML911`` verdicts (volatile: never cached), so
-        their clients get a structured retryable answer instead of
-        hanging with the thread; a half-open probe among them is handed
-        on (:meth:`_CircuitBreaker.cancel_probe`).  Queued-but-
-        undispatched work carries over to the replacement service
-        untouched.
-        """
-        if self._pump_task is not None and not self._pump_task.done():
-            self._pump_task.cancel()
-        self._pump_task = None
-        stale, self.current_batch = self.current_batch, []
-        old_service, old_executor = self.service, self.executor
-        old_service.abort()
-        old_executor.shutdown(wait=False, cancel_futures=True)
-        self._abandoned.append(old_executor)
-        self.service = self.service_factory()
-        self.executor = self._new_executor()
-        self.rebuilds += 1
-        self.probe_failures = 0
-        engine = self.service.config.engine
-        for key, source, future in stale:
-            self.inflight.pop(key, None)
-            if not future.done():
-                future.set_result(
-                    _degraded_result(
-                        source,
-                        engine,
-                        "shard dispatch thread unresponsive; shard rebuilt",
-                    )
-                )
-        if self.waiting:
-            self._pump_task = asyncio.get_running_loop().create_task(self._pump())
-        else:
-            # A half-open breaker admits nothing after its probe, so with
-            # nothing queued the probe was in the stale batch and will
-            # never report: hand it on to the next request, as a shed
-            # probe does.
-            self.breaker.cancel_probe()
+    def stats(self) -> dict:
+        """This broker's ``/stats`` entry: the service's counters, with
+        each loop-side hit counted as the request and the hit it is."""
+        base = self.service.stats
+        entry = replace(
+            base,
+            requests=base.requests + self.loop_hits,
+            hits=base.hits + self.loop_hits,
+        ).to_dict()
+        entry["loop_hits"] = self.loop_hits
+        return entry
 
     def close(self, join_timeout: float = 5.0) -> None:
-        """Release the shard: abort the service (unblocking a dispatch
-        thread wedged on a hung pool), then join the dispatch thread --
-        and any threads abandoned by rebuilds -- with one bounded
-        deadline so ``ServerThread``-based tests cannot leak threads
-        between cases, then close the service."""
+        """Release the broker: abort the service (unblocking a dispatch
+        thread that waits on a hung worker), join the dispatch thread
+        with a bounded deadline so ``ServerThread``-based tests cannot
+        leak threads between cases, then close the service."""
         self.service.abort()
-        executors = [self.executor, *self._abandoned]
-        for pool in executors:
-            pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + join_timeout
-        for pool in executors:
-            for thread in tuple(getattr(pool, "_threads", ())):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                thread.join(timeout=remaining)
-        self._abandoned.clear()
+        self.executor.shutdown(wait=False, cancel_futures=True)
+        for thread in tuple(getattr(self.executor, "_threads", ())):
+            thread.join(timeout=join_timeout)
         self.service.close()
 
 
-class _ShardGroup:
-    """All shards serving one (fuel class, lint) combination.
-
-    Admitted sources route by cache-key hash (``int(key[:8], 16) %
-    shards``): deterministic, uniform, and stable for a given shard
-    count, so coalescing and per-shard caches stay coherent -- one key
-    always lands on one shard.  All shards share the same
-    :class:`~repro.service.SessionConfig` (fault plans aside), so the
-    cache key of a source is identical no matter which shard computes
-    it and the persistent tier is safely shared.
-    """
-
-    def __init__(
-        self,
-        config: SessionConfig,
-        *,
-        shards: int,
-        jobs: int,
-        cache: bool,
-        timeout: float | None,
-        persistent_cache: "PersistentCache | None",
-        max_batch: int,
-        coalesce: bool,
-        breaker_threshold: int | None,
-        breaker_cooldown: float,
-        max_retries: int,
-        retry_backoff: float,
-        shard_fault_plans: "dict[int, FaultPlan] | None" = None,
-    ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.config = config
-        plans = shard_fault_plans or {}
-        self.shards: list[_Broker] = []
-        for index in range(shards):
-            plan = plans.get(index)
-            shard_config = (
-                replace(config, fault_plan=plan) if plan is not None else config
-            )
-
-            def factory(cfg: SessionConfig = shard_config) -> TypecheckService:
-                return TypecheckService(
-                    cfg,
-                    jobs=jobs,
-                    cache=cache,
-                    timeout=timeout,
-                    persistent_cache=persistent_cache,
-                    max_retries=max_retries,
-                    retry_backoff=retry_backoff,
-                )
-
-            self.shards.append(
-                _Broker(
-                    factory(),
-                    max_batch=max_batch,
-                    coalesce=coalesce,
-                    index=index,
-                    service_factory=factory,
-                    breaker=_CircuitBreaker(breaker_threshold, breaker_cooldown),
-                )
-            )
-
-    def cache_key(self, source: str) -> str:
-        # Identical on every shard (fault plans never contribute).
-        return self.shards[0].service.cache_key(source)
-
-    def shard_for(self, key: str) -> _Broker:
-        return self.shards[int(key[:8], 16) % len(self.shards)]
-
-    @property
-    def service(self) -> TypecheckService:
-        """Shard 0's service: the config/stats introspection handle
-        (exact for single-shard groups, representative otherwise)."""
-        return self.shards[0].service
-
-    @property
-    def inflight(self) -> "dict[str, asyncio.Future]":
-        """Shard 0's in-flight map (single-shard introspection)."""
-        return self.shards[0].inflight
-
-    @property
-    def coalesce(self) -> bool:
-        return self.shards[0].coalesce
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-
 class ReproServer:
-    """The serving tier: sharded brokers + supervision + admission
-    control + HTTP plumbing.
-
-    ``shards`` splits each fuel class's keyspace across that many
-    independent services (dispatch thread + worker pool each);
-    ``breaker_threshold``/``breaker_cooldown`` configure the per-shard
-    circuit breaker (``threshold=None`` disables it);
-    ``probe_interval``/``probe_timeout``/``probe_limit`` configure the
-    supervisor (``probe_interval=None`` disables it -- tests drive
-    :meth:`_supervise_once` directly); ``drain_timeout`` bounds how
-    long :meth:`drain` waits for in-flight work on shutdown.
+    """The serving tier: one broker per (fuel class, lint) combination,
+    admission control and HTTP plumbing.
 
     ``max_pending`` bounds the sources queued or dispatching across all
     fuel classes (overflow is shed to ``FML903``); ``max_batch`` caps
@@ -565,11 +233,11 @@ class ReproServer:
     harness measures its value against this switch).  ``cache_path``
     names the shared persistent cache file (``None`` disables the
     durable tier; the in-memory service caches still apply unless
-    ``cache=False`` turns the whole cache stack off).
-
-    ``shard_fault_plans`` maps shard index -> :class:`FaultPlan` for
-    chaos drills (falling back to the :data:`SHARD_FAULT_PLAN_VAR`
-    environment variable), poisoning exactly that shard's service.
+    ``cache=False`` turns the whole cache stack off).  ``jobs``,
+    ``timeout``, ``max_retries`` and ``retry_backoff`` configure each
+    broker's :class:`~repro.service.TypecheckService`;
+    ``drain_timeout`` bounds how long :meth:`drain` waits for in-flight
+    work on shutdown.
     """
 
     def __init__(
@@ -583,21 +251,12 @@ class ReproServer:
         max_pending: int = 256,
         max_batch: int = 64,
         coalesce: bool = True,
-        shards: int = 1,
-        breaker_threshold: int | None = 5,
-        breaker_cooldown: float = 5.0,
-        probe_interval: float | None = 5.0,
-        probe_timeout: float = 1.0,
-        probe_limit: int = 3,
         drain_timeout: float = 10.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        shard_fault_plans: "dict[int, FaultPlan] | None" = None,
     ):
         if max_pending < 0:
             raise ValueError(f"max_pending must be >= 0, got {max_pending}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.config = config or SessionConfig()
         self.jobs = jobs
         self.timeout = timeout
@@ -605,26 +264,15 @@ class ReproServer:
         self.max_pending = max_pending
         self.max_batch = max_batch
         self.coalesce = coalesce
-        self.shards = shards
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
-        self.probe_limit = probe_limit
         self.drain_timeout = drain_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        if shard_fault_plans is None:
-            shard_fault_plans = parse_shard_fault_plans(
-                os.environ.get(SHARD_FAULT_PLAN_VAR, "")
-            )
-        self.shard_fault_plans = shard_fault_plans
         self.persistent_cache = (
             PersistentCache(cache_path)
             if cache and cache_path is not None
             else None
         )
-        self._brokers: dict[str, _ShardGroup] = {}
+        self._brokers: dict[str, _Broker] = {}
         self._pending = 0
         self._http_requests = 0
         self._http_errors = 0
@@ -634,23 +282,22 @@ class ReproServer:
         self._connections: set[asyncio.Task] = set()
         self._idle: set[asyncio.StreamWriter] = set()
         self._server: asyncio.AbstractServer | None = None
-        self._supervisor_task: asyncio.Task | None = None
         self.host: str | None = None
         self.port: int | None = None
         self.broker("default")  # validates the config eagerly
 
     # -- brokers ------------------------------------------------------------
 
-    def broker(self, fuel_class: str, lint: bool | None = None) -> _ShardGroup:
-        """The (lazily created) shard group serving one (fuel class,
-        lint) combination; raises :class:`ValueError` on an unknown
-        class name.
+    def broker(self, fuel_class: str, lint: bool | None = None) -> _Broker:
+        """The (lazily created) broker serving one (fuel class, lint)
+        combination; raises :class:`ValueError` on an unknown class
+        name.
 
         ``lint=None`` means "whatever the server was configured with".
-        A per-request override gets its own group -- lint is part of
+        A per-request override gets its own broker -- lint is part of
         the verdict (and of the cache fingerprint), so lint-on and
         lint-off traffic must never coalesce or share caches.  Lint
-        groups show up in ``/stats`` under ``<class>+lint``.
+        brokers show up in ``/stats`` under ``<class>+lint``.
         """
         effective = self.config.lint if lint is None else lint
         key = f"{fuel_class}+lint" if effective else fuel_class
@@ -658,27 +305,22 @@ class ReproServer:
         if found is not None:
             return found
         fuel = resolve_fuel_class(fuel_class, self.config.fuel)
-        group = _ShardGroup(
+        service = TypecheckService(
             replace(self.config, fuel=fuel, lint=effective),
-            shards=self.shards,
             jobs=self.jobs,
             cache=self.cache_enabled,
             timeout=self.timeout,
             persistent_cache=self.persistent_cache,
-            max_batch=self.max_batch,
-            coalesce=self.coalesce,
-            breaker_threshold=self.breaker_threshold,
-            breaker_cooldown=self.breaker_cooldown,
             max_retries=self.max_retries,
             retry_backoff=self.retry_backoff,
-            shard_fault_plans=self.shard_fault_plans,
         )
-        self._brokers[key] = group
-        return group
+        broker = _Broker(service, max_batch=self.max_batch, coalesce=self.coalesce)
+        self._brokers[key] = broker
+        return broker
 
     # -- admission ----------------------------------------------------------
 
-    def _shed_result(self, source: str, shard: _Broker) -> Result:
+    def _shed_result(self, source: str, broker: _Broker) -> Result:
         """The deterministic FML903 verdict for an overflow request:
         a pure function of (source, config) -- never of worker count,
         queue depth at the instant of shedding, or cache state."""
@@ -690,183 +332,54 @@ class ReproServer:
             request="check",
             ok=False,
             source=source,
-            engine=shard.service.config.engine,
-            diagnostics=(diag,),
-        )
-
-    def _circuit_shed_result(self, source: str, shard: _Broker) -> Result:
-        """The deterministic FML904 verdict for a request whose shard's
-        breaker is open: same purity contract as :meth:`_shed_result`
-        (the *decision* reflects fault history; the bytes do not)."""
-        diag = diagnostic_from_error(
-            CircuitOpenError(self.breaker_threshold),
-            fallback_span=Span.whole_source(source),
-        )
-        return Result(
-            request="check",
-            ok=False,
-            source=source,
-            engine=shard.service.config.engine,
+            engine=broker.service.config.engine,
             diagnostics=(diag,),
         )
 
     def _admit(
-        self, group: _ShardGroup, source: str
+        self, broker: _Broker, source: str
     ) -> "Result | asyncio.Future[Result]":
-        """Route, coalesce, shed, answer or enqueue one program: the
-        verdict itself when it is known now, else the future it
-        resolves on.
+        """Coalesce, shed, answer or enqueue one program: the verdict
+        itself when it is known now, else the future it resolves on.
 
-        The order is fixed: coalesce onto an in-flight key, then the
-        breaker (``FML904``), then ``max_pending`` (``FML903``), then
-        the in-memory hit, then dispatch.  The hit is taken only when
-        the breaker allowed the request outright -- a half-open probe
-        must reach the dispatch thread, since only a dispatch proves
-        that thread alive; a probe shed by ``max_pending`` hands the
-        probe to the next request.  A hit holds no pending slot, and
-        its verdict keeps its rendered entry for the next hit.
+        The order is fixed: coalesce onto an in-flight key, then
+        ``max_pending`` (``FML903``), then the in-memory hit, then
+        dispatch.  A held key is still refused at the limit, but a hit
+        holds no pending slot, and its verdict keeps its rendered entry
+        for the next hit.
         """
-        key = group.cache_key(source)
-        shard = group.shard_for(key)
-        if shard.coalesce:
-            inflight = shard.inflight.get(key)
+        key = broker.service.cache_key(source)
+        if broker.coalesce:
+            inflight = broker.inflight.get(key)
             if inflight is not None:
-                shard.service.stats.coalesced += 1
+                broker.service.stats.coalesced += 1
                 return inflight
-        admitted = shard.breaker.admit()
-        if admitted == "shed":
-            shard.circuit_shed += 1
-            return self._circuit_shed_result(source, shard)
         if self._pending >= self.max_pending:
-            if admitted == "probe":
-                shard.breaker.cancel_probe()
-            shard.service.stats.shed += 1
-            return self._shed_result(source, shard)
-        if admitted == "allow":
-            held = shard.service.cached_verdict(key)
-            if held is not None:
-                shard.loop_hits += 1
-                shard._record(held)
-                held.hold_entry_json()
-                return held
+            broker.service.stats.shed += 1
+            return self._shed_result(source, broker)
+        held = broker.service.cached_verdict(key)
+        if held is not None:
+            broker.loop_hits += 1
+            held.hold_entry_json()
+            return held
         self._pending += 1
-        future = shard.submit(key, source)
+        future = broker.submit(key, source)
         future.add_done_callback(lambda _f: self._release())
         return future
 
     def _release(self) -> None:
         self._pending -= 1
 
-    # -- supervision --------------------------------------------------------
-
-    async def _supervise_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.probe_interval)
-            await self._supervise_once()
-
-    async def _supervise_once(self) -> None:
-        """One supervision round: probe every shard of every group.
-        Exposed (underscored) so tests drive supervision
-        deterministically instead of racing the interval."""
-        for group in list(self._brokers.values()):
-            for shard in group.shards:
-                await self._probe_shard(shard)
-
-    async def _probe_shard(self, shard: _Broker) -> None:
-        """Liveness-probe one shard's dispatch thread.
-
-        Batch progress since the last probe proves the thread is alive
-        -- skip the probe and reset the failure count (a shard slogging
-        through long batches is busy, not wedged).  Otherwise run a
-        no-op through the shard's executor with a deadline; with a
-        single worker it only runs once the thread is free, so a thread
-        blocked behind a hang the service deadline could not preempt
-        times the probe out.  ``probe_limit`` consecutive timeouts
-        *while the shard has work* trigger a rebuild -- an idle shard
-        failing probes is an executor bug, counted but acted on the
-        same way.
-        """
-        if shard.completed_batches != shard.probed_batches:
-            shard.probed_batches = shard.completed_batches
-            shard.probe_failures = 0
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            await asyncio.wait_for(
-                loop.run_in_executor(shard.executor, lambda: None),
-                self.probe_timeout,
-            )
-        except (TimeoutError, RuntimeError):
-            shard.probe_failures += 1
-            if shard.probe_failures >= self.probe_limit:
-                shard.rebuild()
-            return
-        shard.probe_failures = 0
-
     # -- endpoints ----------------------------------------------------------
 
     def _healthz(self) -> dict:
         from . import __version__  # deferred: the package may import us
 
-        shard_states = {
-            name: [shard.readiness() for shard in group.shards]
-            for name, group in sorted(self._brokers.items())
-        }
-        degraded = any(
-            state != "ok" for states in shard_states.values() for state in states
-        )
-        status = "draining" if self.draining else (
-            "degraded" if degraded else "ok"
-        )
         return {
-            "status": status,
+            "status": "draining" if self.draining else "ok",
             "version": __version__,
             "engine": self.config.engine,
-            "shards": shard_states,
         }
-
-    def _class_stats(self, group: _ShardGroup) -> dict:
-        """One class's ``/stats`` entry: the aggregate of its shards'
-        counters (so single-shard consumers read the same keys as
-        before sharding existed) plus a per-shard breakdown with the
-        health counters."""
-        aggregate = ServiceStats()
-        shards = []
-        for shard in group.shards:
-            # Loop-side hits never reach the service; count each as the
-            # request and the hit it is.
-            base = shard.service.stats
-            stats = replace(
-                base,
-                requests=base.requests + shard.loop_hits,
-                hits=base.hits + shard.loop_hits,
-            )
-            for field in dataclass_fields(ServiceStats):
-                setattr(
-                    aggregate,
-                    field.name,
-                    getattr(aggregate, field.name) + getattr(stats, field.name),
-                )
-            shards.append(
-                {
-                    **stats.to_dict(),
-                    "breaker": {
-                        "state": shard.breaker.state,
-                        "trips": shard.breaker.trips,
-                        "failures": shard.breaker.failures,
-                    },
-                    "rebuilds": shard.rebuilds,
-                    "circuit_shed": shard.circuit_shed,
-                    "completed_batches": shard.completed_batches,
-                    "loop_hits": shard.loop_hits,
-                }
-            )
-        entry = aggregate.to_dict()
-        entry["trips"] = sum(s["breaker"]["trips"] for s in shards)
-        entry["rebuilds"] = sum(s["rebuilds"] for s in shards)
-        entry["circuit_shed"] = sum(s["circuit_shed"] for s in shards)
-        entry["shards"] = shards
-        return entry
 
     def _stats(self) -> dict:
         from . import __version__  # deferred: the package may import us
@@ -885,15 +398,14 @@ class ReproServer:
             "version": __version__,
             "config": self.config.to_dict(),
             "jobs": self.jobs,
-            "shards": self.shards,
             "coalesce": self.coalesce,
             "max_pending": self.max_pending,
             "pending": self._pending,
             "http_requests": self._http_requests,
             "http_errors": self._http_errors,
             "classes": {
-                name: self._class_stats(group)
-                for name, group in sorted(self._brokers.items())
+                name: broker.stats()
+                for name, broker in sorted(self._brokers.items())
             },
             "cache": cache_stats,
         }
@@ -1082,17 +594,12 @@ class ReproServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting connections; ``port=0`` picks an
-        ephemeral port (read it back from ``self.port``).  Also starts
-        the shard supervisor unless ``probe_interval`` is ``None``."""
+        ephemeral port (read it back from ``self.port``)."""
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
-        if self.probe_interval is not None and self._supervisor_task is None:
-            self._supervisor_task = asyncio.get_running_loop().create_task(
-                self._supervise_loop()
-            )
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -1116,13 +623,6 @@ class ReproServer:
         return self._pending == 0
 
     async def stop(self) -> None:
-        if self._supervisor_task is not None:
-            self._supervisor_task.cancel()
-            try:
-                await self._supervisor_task
-            except asyncio.CancelledError:
-                pass
-            self._supervisor_task = None
         if self._server is not None:
             self._server.close()
             await self._close_connections()
@@ -1157,8 +657,8 @@ class ReproServer:
     def close(self) -> None:
         """Release brokers, services and the persistent cache
         (synchronous half of :meth:`stop`; idempotent)."""
-        for group in self._brokers.values():
-            group.close()
+        for broker in self._brokers.values():
+            broker.close()
         self._brokers.clear()
         if self.persistent_cache is not None:
             self.persistent_cache.close()
@@ -1166,9 +666,7 @@ class ReproServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"{self.host}:{self.port}" if self.port else "unbound"
-        return (
-            f"ReproServer({where}, jobs={self.jobs}, shards={self.shards})"
-        )
+        return f"ReproServer({where}, jobs={self.jobs})"
 
 
 class ServerThread:
@@ -1204,7 +702,7 @@ class ServerThread:
     def run_on_loop(self, coro_factory):
         """Run ``coro_factory()`` on the server's event loop and wait
         for its result -- how tests drive loop-affine internals
-        (``_supervise_once``, ``drain``) from the outside."""
+        (``drain``) from the outside."""
         assert self._loop is not None, "server not started"
         import concurrent.futures
 
@@ -1272,7 +770,6 @@ async def run_server(
         print(
             f"repro serve: listening on http://{server.host}:{server.port} "
             f"(engine={server.config.engine}, jobs={server.jobs}, "
-            f"shards={server.shards}, "
             f"cache={'on' if server.cache_enabled else 'off'})",
             flush=True,
         )
@@ -1309,14 +806,11 @@ async def run_server(
 
 
 __all__ = [
-    "BREAKER_FAULT_CODES",
     "FUEL_CLASSES",
     "LOW_FUEL_FALLBACK",
     "ReproServer",
     "ServerThread",
-    "SHARD_FAULT_PLAN_VAR",
     "default_cache_path",
-    "parse_shard_fault_plans",
     "resolve_fuel_class",
     "run_server",
 ]

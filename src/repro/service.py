@@ -64,12 +64,12 @@ guards the dispatch path at three depths:
 
 * **Fault injection.**  A :class:`FaultPlan` on the config (or the
   ``REPRO_FAULT_PLAN`` environment variable) makes chosen request
-  ordinals crash, hang or raise, in workers and in the serial path
-  alike -- the chaos suite drives every recovery branch through it.
-  The serial path *simulates* the injected faults at the dispatch
-  boundary with the same retry accounting and the same deterministic
-  messages, so ``--jobs 1`` and ``--jobs N`` stay byte-identical even
-  under fault injection.
+  ordinals crash, hang or raise inside worker processes -- the chaos
+  suite drives every recovery branch through it.  Faults are real
+  there: a crash is an ``os._exit``, a hang a sleep the deadline must
+  preempt.  The in-process path (``jobs=1``) has no worker to fault,
+  so a plan there is refused with :class:`ValueError` rather than
+  silently ignored.
 
 >>> from repro.service import SessionConfig, TypecheckService
 >>> with TypecheckService(SessionConfig(), jobs=2) as service:
@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import time
 from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
@@ -116,9 +117,10 @@ class FaultPlan:
 
     The plan travels inside :class:`SessionConfig` (picklable) and can
     also be supplied via the ``REPRO_FAULT_PLAN`` environment variable,
-    e.g. ``REPRO_FAULT_PLAN="crash@1,hang@3,raise@5,persistent"``.
-    Fault injection never contributes to cache keys: it perturbs the
-    *serving* path, not the verdict a program deserves.
+    e.g. ``REPRO_FAULT_PLAN="crash@1,hang@3,raise@5,persistent"``.  It
+    acts only in worker processes (``jobs >= 2``).  Fault injection
+    never contributes to cache keys: it perturbs the *serving* path,
+    not the verdict a program deserves.
     """
 
     crash: tuple[int, ...] = ()
@@ -340,8 +342,17 @@ def _init_worker(config: SessionConfig, engine) -> None:
     works under any pool start method (its class just has to be
     importable where the worker unpickles it) -- workers never consult
     their own registry.
+
+    A forked worker also inherits the parent's signal wiring.  Under
+    ``repro serve`` that is the event loop's wakeup fd, which would
+    forward a SIGTERM sent to this worker (a pool torn down after a
+    crash or a deadline) to the server as its own shutdown signal, and
+    a no-op SIGTERM handler that would keep the worker alive.  So the
+    worker drops both.
     """
     global _WORKER_SESSION, _WORKER_LINT
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_SESSION = Session(
         engine=engine,
         strategy=config.strategy,
@@ -496,6 +507,10 @@ class TypecheckService:
             if self.config.fault_plan is not None
             else FaultPlan.from_env()
         )
+        if self._fault_plan is not None and jobs == 1:
+            raise ValueError(
+                "a fault plan acts only in worker processes; use jobs >= 2"
+            )
         self._faults_fired: set[tuple[str, int]] = set()
         self._dispatched = 0  # lifetime dispatch ordinal (fault addressing)
         self._aborted = False
@@ -521,18 +536,16 @@ class TypecheckService:
             self.persistent_cache = None
 
     def abort(self) -> None:
-        """Abandon the service from *outside* its dispatch thread.
+        """Stop the service from *outside* its dispatch thread.
 
-        A supervisor that decides a service's dispatch thread is
-        unresponsive cannot join it -- the thread may be blocked on a
-        hung worker for an unbounded time.  ``abort()`` makes
-        abandonment safe: it terminates the current pool (unblocking
-        the ``future.result()`` wait with ``BrokenProcessPool``) and
-        flips a flag the dispatch loops check before every (re)dispatch,
-        so the abandoned thread degrades its remaining jobs to
-        ``FML911`` verdicts and returns instead of building fresh pools
-        through the crash-recovery retry machinery.  Irreversible;
-        callers replace the service rather than reviving it.
+        A server shutting down cannot simply join a dispatch thread
+        that waits on a hung worker with no deadline.  ``abort()``
+        terminates the current pool (unblocking the ``future.result()``
+        wait with ``BrokenProcessPool``) and flips a flag the pooled
+        dispatch loop checks before every (re)dispatch, so the thread
+        degrades its remaining jobs to ``FML911`` verdicts and returns
+        instead of building fresh pools through the crash-recovery
+        retry machinery.  Irreversible; call :meth:`close` next.
         """
         self._aborted = True
         self._discard_pool()
@@ -793,49 +806,18 @@ class TypecheckService:
 
     def _raise_error(self, exc: BaseException) -> WorkerCrashError:
         """The (deterministic) verdict text for a worker-raised
-        exception -- shared by the pooled and serial paths so fault
-        injection cannot tell them apart."""
+        exception."""
         return WorkerCrashError(f"worker raised {type(exc).__name__}: {exc}")
 
     def _run_serial(self, jobs: list[_Job]) -> dict[int, tuple[Result, float]]:
-        """The in-process path.  Injected faults are *simulated* at the
-        dispatch boundary with the same retry accounting and the same
-        degraded messages as the pooled path, so ``jobs=1`` output stays
-        byte-identical to ``jobs=N`` under any fault plan.  (A real
-        in-process hang cannot be preempted -- wall-clock deadlines need
-        workers; the deterministic guard at ``jobs=1`` is fuel.)
-        """
+        """The in-process path: check each job in a fork of the
+        prelude session.  Nothing here can be preempted; the guard at
+        ``jobs=1`` is the deterministic fuel budget."""
         outcomes: dict[int, tuple[Result, float]] = {}
         for job in jobs:
-            while job.index not in outcomes:
-                if self._aborted:
-                    self._abort_group(jobs, outcomes)
-                    break
-                fault = self._fault_directive(job)
-                try:
-                    if fault == "crash":
-                        self.stats.crashes += 1
-                        raise WorkerCrashError()
-                    if fault == "hang":
-                        if self.timeout is not None:
-                            # Simulated preemption: charge the deadline
-                            # without actually sleeping it out.
-                            self.stats.timeouts += 1
-                            raise DeadlineExceededError(self.timeout)
-                        time.sleep(self._fault_plan.hang_seconds)
-                    elif fault == "raise":
-                        self.stats.crashes += 1
-                        raise self._raise_error(FaultInjected("fault injection: raise"))
-                    started = time.perf_counter()
-                    result = self._session.fork().check(
-                        job.source, lint=self.config.lint
-                    )
-                    duration = (time.perf_counter() - started) * 1000.0
-                    outcomes[job.index] = (result, duration)
-                except ResilienceError as exc:
-                    degraded = self._charge_failure(job, exc)
-                    if degraded is not None:
-                        outcomes[job.index] = (degraded, 0.0)
+            started = time.perf_counter()
+            result = self._session.fork().check(job.source, lint=self.config.lint)
+            outcomes[job.index] = (result, (time.perf_counter() - started) * 1000.0)
         return outcomes
 
     def _run_pooled(self, jobs: list[_Job]) -> dict[int, tuple[Result, float]]:

@@ -7,11 +7,12 @@ isolated per program, and all four engines answer through one surface.
 
 import pytest
 
-from repro.api import ENGINES, Result, Session, check_programs
+from repro.api import ENGINES, Result, Session
 from repro.core.terms import Var
 from repro.corpus.examples import ALL_EXAMPLES, EXAMPLES
 from repro.diagnostics import Severity
 from repro.errors import FreezeMLError
+from repro.service import SessionConfig, TypecheckService
 
 
 class TestResults:
@@ -267,10 +268,11 @@ class TestBatch:
         assert [r.ok for r in batch] == [r.ok for r in singles]
         assert [r.type_str for r in batch] == [r.type_str for r in singles]
 
-    def test_check_programs_one_shot(self):
-        with pytest.deprecated_call():
-            results = check_programs(["poly ~id"], engine="systemf")
-        assert results[0].ok and results[0].engine == "systemf"
+    def test_one_shot_service_batch_with_an_engine(self):
+        config = SessionConfig(engine="systemf")
+        with TypecheckService(config) as service:
+            (response,) = service.check_many(["poly ~id"])
+        assert response.ok and response.result.engine == "systemf"
 
 
 class TestNoExceptionEscapes:

@@ -129,7 +129,7 @@ class TestPersistentCache:
         # durable tier must refuse it no matter who calls put.
         plan = FaultPlan(crash=(0,), persistent=True, period=1)
         with TypecheckService(
-            SessionConfig(fault_plan=plan), max_retries=0, retry_backoff=0.0
+            SessionConfig(fault_plan=plan), jobs=2, max_retries=0, retry_backoff=0.0
         ) as service:
             degraded = service.check("poly ~id").result
         assert degraded.diagnostics[0].code == "FML911"
@@ -482,6 +482,7 @@ class TestServiceIntegration:
         plan = FaultPlan(raise_at=(0,))
         with TypecheckService(
             SessionConfig(fault_plan=plan),
+            jobs=2,
             max_retries=0,
             retry_backoff=0.0,
             quarantine=False,

@@ -8,10 +8,13 @@ for every other; deterministic fuel verdicts are byte-identical between
 fuel verdicts are cached, wall-clock/crash verdicts never are.
 
 Faults are injected with :class:`~repro.service.FaultPlan` -- the same
-hook the chaos CI job drives -- so every recovery branch (preemption,
-pool rebuild, retry, bisection, quarantine, degradation) runs in-tree
-without flaky sleeps: hang faults are bounded by ``hang_seconds`` and
-preempted at ``timeout``, which the tests keep small.
+hook the chaos CI job drives -- and act in worker processes, so every
+recovery branch (preemption, pool rebuild, retry, bisection,
+quarantine, degradation) runs on a real fault without flaky sleeps:
+hang faults are bounded by ``hang_seconds`` and preempted at
+``timeout``, which the tests keep small.  A fault is a property of one
+program, so at the HTTP layer it must never degrade the answers other
+programs get.
 """
 
 import json
@@ -96,9 +99,19 @@ class TestFaultPlan:
 
     def test_env_plan_reaches_the_service(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "raise@0,persistent")
-        with TypecheckService(max_retries=0, retry_backoff=0.0) as service:
+        with TypecheckService(jobs=2, max_retries=0, retry_backoff=0.0) as service:
             assert service._fault_plan == FaultPlan(raise_at=(0,), persistent=True)
             assert codes(service.check("poly ~id")) == ["FML911"]
+
+    def test_plan_without_workers_is_refused(self, monkeypatch):
+        # In-process there is no worker to fault: a drill at jobs=1
+        # must fail loudly rather than pass without running its faults.
+        plan = FaultPlan(crash=(0,))
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            TypecheckService(SessionConfig(fault_plan=plan))
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0")
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            TypecheckService(jobs=1)
 
 
 class TestDeterministicFuel:
@@ -239,7 +252,7 @@ class TestDeadlines:
 
 
 class TestAcceptance:
-    """The ISSUE's end-to-end bar, plus serial/pooled parity under it."""
+    """The end-to-end bar: one batch with every kind of fault."""
 
     BATCH = [
         "poly ~id",  # ordinal 0: fine
@@ -253,17 +266,13 @@ class TestAcceptance:
         crash=(1,), hang=(3,), raise_at=(4,), persistent=True, hang_seconds=3.0
     )
 
-    def run_batch(self, jobs: int):
+    def test_mixed_fault_batch_completes_with_exact_verdicts(self):
         config = SessionConfig(fuel=100, fault_plan=self.PLAN)
         with TypecheckService(
-            config, jobs=jobs, timeout=0.5, max_retries=1, retry_backoff=0.0
+            config, jobs=2, timeout=0.5, max_retries=1, retry_backoff=0.0
         ) as service:
             responses = service.check_many(self.BATCH)
-            return responses, service.stats
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_fault_batch_completes_with_exact_verdicts(self, jobs):
-        responses, stats = self.run_batch(jobs)
+            stats = service.stats
         assert codes(responses[0]) == []
         assert codes(responses[1]) == ["FML911"]
         assert codes(responses[2]) == ["FML901"]
@@ -279,11 +288,6 @@ class TestAcceptance:
         assert degraded == [1, 2, 3, 4]
         assert stats.quarantined == 3  # crash, hang and raise; not fuel
         assert stats.retries > 0
-
-    def test_serial_and_pooled_are_byte_identical_under_faults(self):
-        serial, _ = self.run_batch(1)
-        pooled, _ = self.run_batch(2)
-        assert payloads(pooled) == payloads(serial)
 
     def test_cli_json_is_byte_identical_across_jobs(self, tmp_path, capsys):
         ok = tmp_path / "ok.fml"
@@ -328,83 +332,90 @@ class TestLifecycle:
         stats = TypecheckService().stats.to_dict()
         for key in ("timeouts", "crashes", "retries", "quarantined", "shed"):
             assert stats[key] == 0
-        # FML903 (load shed) and FML904 (circuit open) are volatile by
-        # decision, not by bytes: the verdicts are deterministic but
-        # whether a request is shed is not.
+        # FML903 (load shed) is volatile by decision, not by bytes: the
+        # verdict is deterministic but whether a request is shed is not.
         assert VOLATILE_RESILIENCE_CODES == frozenset(
-            {"FML903", "FML904", "FML910", "FML911", "FML912"}
+            {"FML903", "FML910", "FML911", "FML912"}
         )
 
 
-class TestShardChaosHTTP:
-    """The FaultPlan drill at the HTTP layer: crash and hang faults
-    poison two shards of a ``repro serve`` instance; the non-faulted
-    shards keep serving with verdict bytes that match the serial run."""
+class TestServeFaultIsolation:
+    """A fault belongs to the program that caused it: over HTTP, other
+    programs of the same class keep getting their real verdicts."""
 
-    def test_crash_and_hang_across_shards_leave_the_rest_byte_identical(self):
+    def test_repeated_fml912_leaves_the_class_serving(self, tight_recursion):
         from repro.server import ServerThread
-        from test_server import get, post_check, shard_partition
+        from test_server import get, post_check
 
-        plans = {
-            1: FaultPlan(crash=(0,), persistent=True, period=1),
-            2: FaultPlan(hang=(0,), persistent=True, period=1),
-        }
+        with ServerThread(config=SessionConfig()) as handle:
+            for _ in range(5):
+                status, body = post_check(handle.url, {"source": PAREN_BOMB})
+                assert status == 200
+                assert json.loads(body)["diagnostics"][0]["code"] == "FML912"
+            status, body = post_check(handle.url, {"source": "poly ~id"})
+            assert status == 200 and json.loads(body)["ok"] is True
+            _, health = get(handle.url, "/healthz")
+            assert health["status"] == "ok"
+
+    def test_quarantined_worker_crash_leaves_the_class_serving(self):
+        from repro.server import ServerThread
+        from test_server import get, post_check
+
+        plan = FaultPlan(crash=(0,), persistent=True)
         with ServerThread(
-            config=SessionConfig(),
-            shards=4,
-            shard_fault_plans=plans,
-            timeout=0.5,  # hangs degrade to FML910 without sleeping
-            breaker_threshold=2,
-            breaker_cooldown=300.0,
-            probe_interval=None,
+            config=SessionConfig(fault_plan=plan),
+            jobs=2,
             max_retries=0,
             retry_backoff=0.0,
         ) as handle:
-            buckets = shard_partition(handle.server)
-            healthy = buckets[0] + buckets[3]
-            assert len(healthy) >= 4
+            for _ in range(6):  # a real crash, then quarantine replays
+                status, body = post_check(handle.url, {"source": "1 + 2"})
+                assert status == 200
+                assert json.loads(body)["diagnostics"][0]["code"] == "FML911"
+            status, body = post_check(handle.url, {"source": "poly ~id"})
+            assert status == 200 and json.loads(body)["ok"] is True
+            _, health = get(handle.url, "/healthz")
+            assert health["status"] == "ok"
+            _, stats = get(handle.url, "/stats")
+            klass = stats["classes"]["default"]
+            assert klass["quarantined"] == 1 and klass["crashes"] >= 1
 
-            # Drive the sick shards past their breaker thresholds.
-            fault_codes = {1: set(), 2: set()}
-            for index in (1, 2):
-                for source in buckets[index][:3]:
-                    status, body = post_check(handle.url, {"source": source})
-                    assert status == 200
-                    fault_codes[index].add(
-                        json.loads(body)["diagnostics"][0]["code"]
-                    )
-            assert fault_codes[1] == {"FML911", "FML904"}
-            assert fault_codes[2] == {"FML910", "FML904"}
+    def test_worker_crash_does_not_stop_the_server_process(self):
+        # Forked workers inherit the server's signal wiring.  The pool
+        # torn down after a crash sends its workers SIGTERM, which must
+        # not reach the server's loop as a shutdown of its own.
+        import os
+        import signal
+        import subprocess
+        from pathlib import Path
 
-            # Non-faulted shards: byte-identical to a clean serial run.
-            _, faulted_bytes = post_check(
-                handle.url, {"programs": healthy[:8]}
-            )
-            with ServerThread(config=SessionConfig()) as clean:
-                _, clean_bytes = post_check(
-                    clean.url, {"programs": healthy[:8]}
-                )
-            assert faulted_bytes == clean_bytes
+        from test_server import get, post_check
 
-            _, doc = get(handle.url, "/healthz")
-            assert doc["status"] == "degraded"
-            assert doc["shards"]["default"] == ["ok", "open", "open", "ok"]
-
-    def test_shard_fault_plan_env_poisons_exactly_one_shard(self, monkeypatch):
-        from repro.server import SHARD_FAULT_PLAN_VAR, ServerThread
-        from test_server import post_check, shard_partition
-
-        monkeypatch.setenv(SHARD_FAULT_PLAN_VAR, "1:crash@0,persistent,period=1")
-        with ServerThread(
-            config=SessionConfig(),
-            shards=2,
-            probe_interval=None,
-            max_retries=0,
-            retry_backoff=0.0,
-            breaker_threshold=None,
-        ) as handle:
-            buckets = shard_partition(handle.server)
-            _, sick = post_check(handle.url, {"source": buckets[1][0]})
-            _, well = post_check(handle.url, {"source": buckets[0][0]})
-            assert json.loads(sick)["diagnostics"][0]["code"] == "FML911"
-            assert json.loads(well)["ok"] is True
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--jobs", "2", "--timeout", "0.5", "--no-persist",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src", "REPRO_FAULT_PLAN": "crash@0"},
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+        try:
+            banner = process.stdout.readline()
+            assert "listening on http://" in banner
+            url = banner.split("listening on ")[1].split()[0]
+            # crash@0 fires once: the retry on a fresh pool answers.
+            status, body = post_check(url, {"source": "1 + 2"})
+            assert status == 200 and json.loads(body)["ok"] is True
+            status, body = post_check(url, {"source": "poly ~id"})
+            assert status == 200 and json.loads(body)["ok"] is True
+            _, health = get(url, "/healthz")
+            assert health["status"] == "ok"
+            _, stats = get(url, "/stats")
+            assert stats["classes"]["default"]["crashes"] >= 1
+        finally:
+            process.send_signal(signal.SIGTERM)
+        out, _ = process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert "drained clean" in out

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import Result, Session, check_document_json
 from repro.cache import encode_result
-from repro.server import ReproServer, _CircuitBreaker
+from repro.server import ReproServer
 from repro.service import SessionConfig
 
 #: ok, ill-typed, unparsable, and (with lint on) warning verdicts.
@@ -105,7 +105,7 @@ class TestServedBytes:
             for source in SOURCES
             for lint in (False, True)
         }
-        server = ReproServer(SessionConfig(), probe_interval=None)
+        server = ReproServer(SessionConfig())
 
         @settings(max_examples=40, deadline=None)
         @given(
@@ -145,11 +145,11 @@ class TestServedBytes:
 
 class TestMemoLifecycle:
     def held(self, server: ReproServer, source: str) -> "Result | None":
-        shard = server.broker("default").shards[0]
-        return shard.service.cached_verdict(shard.service.cache_key(source))
+        service = server.broker("default").service
+        return service.cached_verdict(service.cache_key(source))
 
     def test_only_a_served_hit_fills_the_memo(self):
-        server = ReproServer(SessionConfig(), probe_interval=None)
+        server = ReproServer(SessionConfig())
         try:
             (miss,) = run_admit(server, "poly ~id")
             held = self.held(server, "poly ~id")
@@ -160,7 +160,7 @@ class TestMemoLifecycle:
             server.close()
 
     def test_coalesced_followers_fill_no_memo(self):
-        server = ReproServer(SessionConfig(), probe_interval=None)
+        server = ReproServer(SessionConfig())
         try:
             leader, follower = run_admit(server, "poly ~id", "poly ~id")
             assert server.broker("default").service.stats.coalesced == 1
@@ -170,23 +170,18 @@ class TestMemoLifecycle:
             server.close()
 
     def test_sheds_fill_no_memo(self):
-        server = ReproServer(SessionConfig(), max_pending=0, probe_interval=None)
+        server = ReproServer(SessionConfig(), max_pending=0)
         try:
-            shard = server.broker("default").shards[0]
-            shard.service.check_many(["poly ~id"])  # held, never served
+            server.broker("default").service.check_many(["poly ~id"])  # held
             (shed,) = run_admit(server, "poly ~id")
             assert [d.code for d in shed.diagnostics] == ["FML903"]
-            shard.breaker = _CircuitBreaker(threshold=1)
-            shard.breaker.record_failure()
-            (circuit,) = run_admit(server, "poly ~id")
-            assert [d.code for d in circuit.diagnostics] == ["FML904"]
-            assert shed._entry_memo is None and circuit._entry_memo is None
+            assert shed._entry_memo is None
             assert self.held(server, "poly ~id")._entry_memo is None
         finally:
             server.close()
 
     def test_eviction_drops_the_memo_with_its_verdict(self):
-        server = ReproServer(SessionConfig(), probe_interval=None)
+        server = ReproServer(SessionConfig())
         try:
             service = server.broker("default").service
             service.max_cache_entries = 1
@@ -202,7 +197,7 @@ class TestMemoLifecycle:
             server.close()
 
     def test_stats_count_memoised_hits_as_requests_and_hits(self):
-        server = ReproServer(SessionConfig(), probe_interval=None)
+        server = ReproServer(SessionConfig())
         try:
             programs = [{"source": s, "label": f"p{i}"} for i, s in enumerate(SOURCES)]
             first = handle_check(server, {"programs": programs})

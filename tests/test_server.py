@@ -10,11 +10,11 @@ Covers the pillars the serving ISSUEs name:
 * **Admission control** -- overflow requests degrade to the
   deterministic ``FML903`` shed verdict: same bytes at ``jobs=1`` and
   ``jobs=N``, never cached, never persisted.
-* **Self-healing shards** -- cache-key sharding keeps responses
-  byte-identical at any shard count; a faulted shard trips its circuit
-  breaker (``FML904``, half-open recovery) while the other shards keep
-  serving; the supervisor rebuilds a wedged dispatch thread; SIGTERM
-  drains clean (503 on late requests, in-flight work completes, exit 0).
+* **Loop-side hits** -- an in-memory hit is answered on the event loop
+  without a dispatch, after coalescing and ``max_pending``.
+* **Drain-clean shutdown** -- SIGTERM drains clean (503 on late
+  requests, in-flight work completes, exit 0), and closing a server
+  leaks no dispatch thread.
 
 Plus the HTTP surface itself: endpoint routing, error statuses, the
 ``repro check --json`` byte-identity contract, fuel classes, and the
@@ -41,11 +41,9 @@ from repro.server import (
     LOW_FUEL_FALLBACK,
     ReproServer,
     ServerThread,
-    _CircuitBreaker,
-    parse_shard_fault_plans,
     resolve_fuel_class,
 )
-from repro.service import FaultPlan, SessionConfig, TypecheckService
+from repro.service import SessionConfig, TypecheckService
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -217,16 +215,16 @@ class TestAdmissionControl:
             server.close()
 
 
-def count_dispatches(shard) -> list:
-    """Record every batch the shard's service is asked to check."""
+def count_dispatches(broker) -> list:
+    """Record every batch the broker's service is asked to check."""
     calls: list = []
-    check_many = shard.service.check_many
+    check_many = broker.service.check_many
 
     def counting(sources):
         calls.append(list(sources))
         return check_many(sources)
 
-    shard.service.check_many = counting
+    broker.service.check_many = counting
     return calls
 
 
@@ -235,103 +233,43 @@ class TestLoopSideHits:
     admission order puts before it still wins."""
 
     def test_repeated_key_is_answered_without_a_dispatch(self):
-        with ServerThread(config=SessionConfig(), probe_interval=None) as handle:
-            shard = handle.server.broker("default").shards[0]
-            calls = count_dispatches(shard)
+        with ServerThread(config=SessionConfig()) as handle:
+            broker = handle.server.broker("default")
+            calls = count_dispatches(broker)
             _, first = post_check(handle.url, {"source": "poly ~id"})
             _, before = get(handle.url, "/stats")
-            batches = shard.completed_batches
             _, second = post_check(handle.url, {"source": "poly ~id"})
             _, after = get(handle.url, "/stats")
             assert second == first
-            assert shard.completed_batches == batches
             assert calls == [["poly ~id"]]
             old, new = before["classes"]["default"], after["classes"]["default"]
             assert new["requests"] == old["requests"] + 1
             assert new["hits"] == old["hits"] + 1
-            assert new["shards"][0]["loop_hits"] == 1
+            assert new["loop_hits"] == 1
             assert new["hit_rate"] == 0.5
-
-    def test_open_breaker_sheds_a_cached_key(self):
-        server = ReproServer(SessionConfig(), breaker_threshold=1)
-        try:
-            run_admit(server, "poly ~id")
-            shard = server.broker("default").shards[0]
-            shard.breaker.record_failure()  # threshold 1: open
-            calls = count_dispatches(shard)
-            (result,) = run_admit(server, "poly ~id")
-            expected = server._circuit_shed_result("poly ~id", shard)
-            assert result.to_dict() == expected.to_dict()
-            assert [d.code for d in result.diagnostics] == ["FML904"]
-            assert calls == [] and shard.loop_hits == 0
-        finally:
-            server.close()
-
-    def test_half_open_probe_dispatches_a_cached_key(self):
-        server = ReproServer(SessionConfig(), breaker_threshold=1)
-        try:
-            (cold,) = run_admit(server, "poly ~id")
-            shard = server.broker("default").shards[0]
-            clock = FakeClock()
-            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-            shard.breaker.record_failure()
-            clock.now = 5.0  # cooldown over: the next request probes
-            calls = count_dispatches(shard)
-            batches = shard.completed_batches
-            (probe,) = run_admit(server, "poly ~id")
-            assert calls == [["poly ~id"]]
-            assert shard.completed_batches == batches + 1
-            assert shard.loop_hits == 0
-            assert probe.type_str == cold.type_str and probe.ok
-            assert shard.breaker.state == "closed"
-        finally:
-            server.close()
 
     def test_cached_key_still_sheds_at_max_pending(self):
         server = ReproServer(SessionConfig(), max_pending=0)
         try:
-            shard = server.broker("default").shards[0]
-            shard.service.check_many(["poly ~id"])  # held in memory
+            broker = server.broker("default")
+            broker.service.check_many(["poly ~id"])  # held in memory
             (result,) = run_admit(server, "poly ~id")
             assert [d.code for d in result.diagnostics] == ["FML903"]
-            assert shard.service.stats.shed == 1 and shard.loop_hits == 0
-        finally:
-            server.close()
-
-    def test_probe_shed_at_max_pending_hands_the_probe_on(self):
-        # The request the cooldown lets through as the half-open probe
-        # is shed by max_pending: no probe runs, so the breaker must not
-        # stay half-open (every later request would shed FML904).
-        server = ReproServer(SessionConfig(), breaker_threshold=1, max_pending=0)
-        try:
-            shard = server.broker("default").shards[0]
-            clock = FakeClock()
-            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-            shard.breaker.record_failure()
-            clock.now = 5.0  # cooldown over: the next request probes
-            (shed,) = run_admit(server, "poly ~id")
-            assert [d.code for d in shed.diagnostics] == ["FML903"]
-            assert shard.breaker.state == "open"
-            server.max_pending = 1
-            clock.now = 6.0  # no second cooldown to wait out
-            calls = count_dispatches(shard)
-            (probe,) = run_admit(server, "poly ~id")
-            assert probe.ok and calls == [["poly ~id"]]
-            assert shard.breaker.state == "closed"
+            assert broker.service.stats.shed == 1 and broker.loop_hits == 0
         finally:
             server.close()
 
     def test_no_cache_never_answers_on_the_loop(self):
         server = ReproServer(SessionConfig(), cache=False)
         try:
-            shard = server.broker("default").shards[0]
-            calls = count_dispatches(shard)
+            broker = server.broker("default")
+            calls = count_dispatches(broker)
             for _ in range(3):
                 (result,) = run_admit(server, "poly ~id")
                 assert result.ok
             assert calls == [["poly ~id"]] * 3
-            assert shard.loop_hits == 0
-            assert shard.service.stats.misses == 3
+            assert broker.loop_hits == 0
+            assert broker.service.stats.misses == 3
         finally:
             server.close()
 
@@ -387,10 +325,10 @@ class TestLoopSideHits:
         assert run_check([*paths, "--json"]) == 1
         expected = capsys.readouterr().out.encode("utf-8")
 
-        with ServerThread(config=SessionConfig(), probe_interval=None) as handle:
+        with ServerThread(config=SessionConfig()) as handle:
             post_check(handle.url, {"source": "poly ~id"})  # already cached
-            shard = handle.server.broker("default").shards[0]
-            calls = count_dispatches(shard)
+            broker = handle.server.broker("default")
+            calls = count_dispatches(broker)
             programs = [
                 {"source": source, "label": path}
                 for source, path in zip(sources, paths)
@@ -401,7 +339,7 @@ class TestLoopSideHits:
         flags = [p["cached"] for p in json.loads(body)["programs"]]
         assert flags == [False, False, True, False, True]
         assert calls == [["auto id", "1 + 2"]]  # one batch, repeats coalesced
-        assert shard.loop_hits == 2
+        assert broker.loop_hits == 2
 
 
 class TestHTTPEndpoints:
@@ -419,7 +357,6 @@ class TestHTTPEndpoints:
             "status": "ok",
             "version": __version__,
             "engine": "freezeml",
-            "shards": {"default": ["ok"]},
         }
 
     def test_single_check(self, handle):
@@ -570,36 +507,16 @@ class TestServeCli:
         assert opts["host"] == "127.0.0.1" and opts["port"] == 8765
         assert opts["jobs"] == 1 and opts["max_pending"] == 256
         assert opts["coalesce"] and opts["persist"] and opts["cache"]
-        assert opts["shards"] == 1
-        assert opts["breaker_threshold"] == 5
-        assert opts["breaker_cooldown"] == 5.0
         assert opts["drain_timeout"] == 10.0
 
     def test_parse_serve_args_resilience_flags(self):
-        opts = parse_serve_args(
-            [
-                "--shards=4",
-                "--breaker-threshold",
-                "3",
-                "--breaker-cooldown=2.5",
-                "--drain-timeout",
-                "0",
-            ]
-        )
-        assert opts["shards"] == 4
-        assert opts["breaker_threshold"] == 3
-        assert opts["breaker_cooldown"] == 2.5
-        assert opts["drain_timeout"] == 0.0
-        assert parse_serve_args(["--no-breaker"])["breaker_threshold"] is None
+        assert parse_serve_args(["--drain-timeout", "0"])["drain_timeout"] == 0.0
+        assert parse_serve_args(["--drain-timeout=2.5"])["drain_timeout"] == 2.5
 
     def test_parse_serve_args_resilience_errors(self):
         for argv in (
-            ["--shards=0"],
-            ["--shards", "many"],
-            ["--breaker-threshold", "0"],
-            ["--breaker-cooldown", "-1"],
-            ["--breaker-cooldown", "soon"],
             ["--drain-timeout", "-0.5"],
+            ["--drain-timeout", "soon"],
             ["--drain-timeout"],
         ):
             assert isinstance(parse_serve_args(argv), str), argv
@@ -685,397 +602,20 @@ class TestServeCli:
         assert process.wait(timeout=30) == 0
 
 
-class FakeClock:
-    """A monotonic clock tests advance by hand."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_stays_closed_below_threshold(self):
-        breaker = _CircuitBreaker(threshold=3, cooldown=5.0, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.admit() == "allow"
-        assert breaker.trips == 0
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = _CircuitBreaker(threshold=3, cooldown=5.0, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never 3 in a row
-
-    def test_trips_open_at_threshold_and_sheds(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(threshold=2, cooldown=5.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.record_failure() is True  # this one tripped it
-        assert breaker.state == "open" and breaker.trips == 1
-        assert breaker.admit() == "shed"
-        clock.now = 4.9
-        assert breaker.admit() == "shed"  # still cooling down
-
-    def test_cooldown_elapses_into_a_single_half_open_probe(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 5.0
-        assert breaker.admit() == "probe"
-        assert breaker.state == "half_open"
-        assert breaker.admit() == "shed"  # one probe at a time
-
-    def test_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 1.0
-        assert breaker.admit() == "probe"
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.admit() == "allow"
-        assert breaker.trips == 1
-
-    def test_probe_failure_reopens_with_a_fresh_cooldown(self):
-        clock = FakeClock()
-        breaker = _CircuitBreaker(threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 1.0
-        assert breaker.admit() == "probe"
-        assert breaker.record_failure() is True
-        assert breaker.state == "open" and breaker.trips == 2
-        assert breaker.admit() == "shed"
-        clock.now = 2.0
-        assert breaker.admit() == "probe"
-
-    def test_threshold_none_disables(self):
-        breaker = _CircuitBreaker(threshold=None)
-        for _ in range(100):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.admit() == "allow"
-        assert breaker.trips == 0
-
-    def test_threshold_floor(self):
-        with pytest.raises(ValueError, match="threshold"):
-            _CircuitBreaker(threshold=0)
-
-
-class TestShardFaultPlans:
-    def test_parse_multiple_entries(self):
-        plans = parse_shard_fault_plans("1:crash@0,persistent,period=1|3:hang@2")
-        assert set(plans) == {1, 3}
-        assert plans[1].crash == (0,) and plans[1].persistent
-        assert plans[1].period == 1
-        assert plans[3].hang == (2,)
-
-    def test_parse_empty_and_errors(self):
-        assert parse_shard_fault_plans("") == {}
-        assert parse_shard_fault_plans(" | ") == {}
-        with pytest.raises(ValueError, match="shard fault entry"):
-            parse_shard_fault_plans("crash@0")
-
-
-class TestSharding:
-    def test_keys_spread_across_shards(self):
-        server = ReproServer(SessionConfig(), shards=4)
-        try:
-            sources = [f"1 + {i}" for i in range(32)]
-            results = run_admit(server, *sources)
-            assert all(r.ok for r in results)
-            group = server.broker("default")
-            per_shard = [s.service.stats.requests for s in group.shards]
-            assert sum(per_shard) == 32
-            assert sum(1 for n in per_shard if n) >= 2  # actually sharded
-        finally:
-            server.close()
-
-    def test_routing_is_stable_and_total(self):
-        server = ReproServer(SessionConfig(), shards=4)
-        try:
-            group = server.broker("default")
-            for i in range(64):
-                key = group.cache_key(f"1 + {i}")
-                assert group.shard_for(key) is group.shard_for(key)
-                assert group.shard_for(key) in group.shards
-        finally:
-            server.close()
-
-    def test_coalescing_still_works_per_shard(self):
-        server = ReproServer(SessionConfig(), shards=4)
-        try:
-            results = run_admit(server, *["poly ~id"] * 6)
-            assert all(r.ok for r in results)
-            group = server.broker("default")
-            assert sum(s.service.stats.misses for s in group.shards) == 1
-            assert sum(s.service.stats.coalesced for s in group.shards) == 5
-        finally:
-            server.close()
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_sharded_responses_byte_identical_to_serial(self, shards):
-        files = sorted(EXAMPLES_DIR.glob("*.fml"))
-        programs = [{"source": f.read_text(), "label": str(f)} for f in files]
-        payload = {"programs": programs}
-        with ServerThread(config=SessionConfig()) as handle:
-            _, serial = post_check(handle.url, payload)
-        with ServerThread(config=SessionConfig(), shards=shards) as handle:
-            _, sharded = post_check(handle.url, payload)
-        assert sharded == serial
-
+class TestBrokerLifecycle:
     def test_no_dispatch_thread_leak_after_close(self):
-        with ServerThread(config=SessionConfig(), shards=3) as handle:
-            status, _ = post_check(handle.url, {"source": "poly ~id"})
-            assert status == 200
+        with ServerThread(config=SessionConfig()) as handle:
+            for fuel_class in ("default", "low"):
+                status, _ = post_check(
+                    handle.url, {"source": "poly ~id", "fuel_class": fuel_class}
+                )
+                assert status == 200
         leaked = [
             t.name
             for t in threading.enumerate()
-            if t.name.startswith("repro-serve-s")
+            if t.name.startswith("repro-serve-dispatch")
         ]
         assert leaked == []
-
-
-def shard_partition(server: ReproServer, count: int = 48) -> "dict[int, list[str]]":
-    """Distinct sources bucketed by the shard index they route to."""
-    group = server.broker("default")
-    buckets: dict[int, list[str]] = {i: [] for i in range(len(group.shards))}
-    for i in range(count):
-        source = f"1 + {i}"
-        shard = group.shard_for(group.cache_key(source))
-        buckets[shard.index].append(source)
-    return buckets
-
-
-class TestCircuitBreakerIntegration:
-    """A persistently crashing shard trips its breaker; the rest of the
-    keyspace keeps serving with byte-identical verdicts (the kill
-    drill's in-process half)."""
-
-    @pytest.fixture()
-    def faulted(self):
-        with ServerThread(
-            config=SessionConfig(),
-            shards=4,
-            shard_fault_plans={1: FaultPlan(crash=(0,), persistent=True, period=1)},
-            breaker_threshold=2,
-            breaker_cooldown=300.0,  # stays open for the whole test
-            probe_interval=None,
-            max_retries=0,
-            retry_backoff=0.0,
-        ) as handle:
-            yield handle
-
-    def test_faulted_shard_degrades_then_sheds_while_others_serve(self, faulted):
-        buckets = shard_partition(faulted.server)
-        sick, healthy = buckets[1], buckets[0] + buckets[2] + buckets[3]
-        assert len(sick) >= 3 and len(healthy) >= 3
-
-        verdicts = []
-        for source in sick[:4]:
-            status, body = post_check(faulted.url, {"source": source})
-            assert status == 200
-            verdicts.append(json.loads(body)["diagnostics"][0]["code"])
-        # Two crash verdicts feed the breaker; from the trip on, FML904.
-        assert verdicts[:2] == ["FML911", "FML911"]
-        assert verdicts[2:] == ["FML904"] * len(verdicts[2:])
-
-        # The other shards' keyspace is untouched: verdicts byte-match
-        # an unfaulted serial server.
-        _, faulted_bytes = post_check(faulted.url, {"programs": healthy[:6]})
-        with ServerThread(config=SessionConfig()) as clean:
-            _, clean_bytes = post_check(clean.url, {"programs": healthy[:6]})
-        assert faulted_bytes == clean_bytes
-
-        status, doc = get(faulted.url, "/healthz")
-        assert status == 200
-        assert doc["status"] == "degraded"
-        assert doc["shards"]["default"] == ["ok", "open", "ok", "ok"]
-
-        _, stats = get(faulted.url, "/stats")
-        entry = stats["classes"]["default"]
-        assert entry["trips"] == 1
-        assert entry["circuit_shed"] == len(verdicts) - 2
-        assert entry["shards"][1]["breaker"]["state"] == "open"
-        assert entry["shards"][1]["breaker"]["trips"] == 1
-
-    def test_circuit_shed_bytes_are_deterministic_and_uncached(self, faulted):
-        buckets = shard_partition(faulted.server)
-        sick = buckets[1]
-        # Trip the breaker (threshold 2), then shed the same source twice.
-        for source in sick[:2]:
-            post_check(faulted.url, {"source": source})
-        _, first = post_check(faulted.url, {"source": sick[2]})
-        _, second = post_check(faulted.url, {"source": sick[2]})
-        assert first == second
-        doc = json.loads(second)
-        assert doc["diagnostics"][0]["code"] == "FML904"
-        assert "breaker threshold 2" in doc["diagnostics"][0]["message"]
-        span = doc["diagnostics"][0]["span"]
-        assert span["line"] == 1 and span["column"] == 1
-        # Never cached: the shed verdict must not pin the key.
-        shard = faulted.server.broker("default").shards[1]
-        assert shard.service.cache_key(sick[2]) not in shard.service._cache
-
-    def test_half_open_probe_recovers_a_healed_shard(self):
-        # Crashes at the first three dispatch ordinals only: the fourth
-        # dispatch (the second half-open probe) succeeds and closes the
-        # breaker.
-        with ServerThread(
-            config=SessionConfig(),
-            shards=1,
-            shard_fault_plans={0: FaultPlan(crash=(0, 1, 2))},
-            breaker_threshold=2,
-            breaker_cooldown=0.0,  # probe immediately
-            probe_interval=None,
-            max_retries=0,
-            retry_backoff=0.0,
-        ) as handle:
-            codes = []
-            for i in range(5):
-                status, body = post_check(handle.url, {"source": f"1 + {i}"})
-                assert status == 200
-                doc = json.loads(body)
-                codes.append(
-                    doc["diagnostics"][0]["code"] if not doc["ok"] else "ok"
-                )
-            # 0: crash (failure 1), 1: crash (trips open), 2: probe ->
-            # crash (re-opens), 3: probe -> success (closes), 4: normal.
-            assert codes == ["FML911", "FML911", "FML911", "ok", "ok"]
-            breaker = handle.server.broker("default").shards[0].breaker
-            assert breaker.state == "closed" and breaker.trips == 2
-            _, doc = get(handle.url, "/healthz")
-            assert doc["status"] == "ok"
-
-
-class TestSupervisorRebuild:
-    def test_wedged_dispatch_thread_is_rebuilt(self):
-        with ServerThread(
-            config=SessionConfig(),
-            probe_interval=None,  # tests drive supervision by hand
-            probe_timeout=0.05,
-            probe_limit=2,
-            breaker_threshold=None,
-        ) as handle:
-            server = handle.server
-            shard = server.broker("default").shards[0]
-            gate = threading.Event()
-            try:
-                # Wedge the dispatch thread behind an event the service
-                # deadline machinery cannot see.
-                shard.executor.submit(gate.wait)
-
-                async def enqueue():
-                    return shard.submit(
-                        shard.service.cache_key("1 + 1"), "1 + 1"
-                    )
-
-                future = handle.run_on_loop(enqueue)
-                handle.run_on_loop(lambda: asyncio.sleep(0.1))
-                assert shard.current_batch  # stuck behind the wedge
-
-                handle.run_on_loop(server._supervise_once)
-                assert shard.probe_failures == 1
-                assert shard.readiness() == "degraded"
-                _, doc = get(handle.url, "/healthz")
-                assert doc["status"] == "degraded"
-
-                handle.run_on_loop(server._supervise_once)
-                assert shard.rebuilds == 1
-                assert shard.probe_failures == 0
-                assert shard.current_batch == []
-
-                # The batch that was in flight degraded deterministically.
-                async def harvest():
-                    return await asyncio.wait_for(future, timeout=5)
-
-                result = handle.run_on_loop(harvest)
-                assert not result.ok
-                (diag,) = result.diagnostics
-                assert diag.code == "FML911"
-                assert "shard rebuilt" in diag.message
-            finally:
-                gate.set()  # release the abandoned thread
-
-            # The replacement shard serves normally.
-            status, body = post_check(handle.url, {"source": "poly ~id"})
-            assert status == 200 and json.loads(body)["ok"] is True
-            _, doc = get(handle.url, "/healthz")
-            assert doc["status"] == "ok"
-            _, stats = get(handle.url, "/stats")
-            assert stats["classes"]["default"]["rebuilds"] == 1
-
-    def test_rebuild_hands_a_stale_probe_on(self):
-        # The half-open probe is in the batch a wedged dispatch thread
-        # holds.  The rebuild answers it FML911 without a verdict from
-        # any service, so the breaker must not stay half-open (every
-        # later request would shed FML904 with nothing left to close it).
-        with ServerThread(
-            config=SessionConfig(),
-            probe_interval=None,
-            probe_timeout=0.05,
-            probe_limit=1,
-            breaker_threshold=1,
-        ) as handle:
-            server = handle.server
-            group = server.broker("default")
-            shard = group.shards[0]
-            clock = FakeClock()
-            shard.breaker = _CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-            shard.breaker.record_failure()
-            clock.now = 5.0  # cooldown over: the next request probes
-            gate = threading.Event()
-            try:
-                shard.executor.submit(gate.wait)
-
-                async def admit():
-                    return server._admit(group, "poly ~id")
-
-                probe = handle.run_on_loop(admit)
-                assert shard.breaker.state == "half_open"
-                handle.run_on_loop(lambda: asyncio.sleep(0.1))
-                assert shard.current_batch  # the probe, behind the wedge
-                handle.run_on_loop(server._supervise_once)
-                assert shard.rebuilds == 1
-
-                async def harvest():
-                    return await asyncio.wait_for(probe, timeout=5)
-
-                (diag,) = handle.run_on_loop(harvest).diagnostics
-                assert diag.code == "FML911"
-            finally:
-                gate.set()  # release the abandoned thread
-            assert shard.breaker.state == "open"
-            clock.now = 1000.0
-            calls = count_dispatches(shard)
-            status, body = post_check(handle.url, {"source": "poly ~id"})
-            assert status == 200 and json.loads(body)["ok"] is True
-            assert calls == [["poly ~id"]]  # a probe, not an FML904 shed
-            assert shard.breaker.state == "closed"
-
-    def test_probe_skips_busy_but_progressing_shards(self):
-        with ServerThread(
-            config=SessionConfig(), probe_interval=None, probe_timeout=0.05
-        ) as handle:
-            server = handle.server
-            shard = server.broker("default").shards[0]
-            post_check(handle.url, {"source": "poly ~id"})
-            assert shard.completed_batches >= 1
-            handle.run_on_loop(server._supervise_once)
-            # Progress since the last probe: counted, not probed.
-            assert shard.probe_failures == 0
-            assert shard.probed_batches == shard.completed_batches
-
-    def test_idle_shard_probes_clean(self):
-        with ServerThread(
-            config=SessionConfig(), probe_interval=None, probe_timeout=1.0
-        ) as handle:
-            handle.run_on_loop(handle.server._supervise_once)
-            shard = handle.server.broker("default").shards[0]
-            assert shard.probe_failures == 0 and shard.rebuilds == 0
 
 
 class TestDrain:

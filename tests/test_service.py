@@ -2,9 +2,8 @@
 
 The acceptance bar: parallel execution is byte-deterministic against
 the serial run (verdicts *and* cache flags), the cache measurably
-serves repeats without re-running inference, configs are picklable for
-worker reconstruction, and `check_programs` remains a thin alias so no
-third entrypoint family exists.
+serves repeats without re-running inference, and configs are picklable
+for worker reconstruction.
 """
 
 import json
@@ -12,7 +11,6 @@ import pickle
 
 import pytest
 
-from repro.api import Result, check_programs
 from repro.corpus.examples import EXAMPLES
 from repro.service import (
     CheckRequest,
@@ -124,8 +122,8 @@ class TestCacheKey:
         )
 
     def test_fault_plan_never_reaches_the_key(self):
-        # Shards of one group differ only in their fault plans and must
-        # agree on every key.
+        # A fault plan perturbs serving, never the verdict: a drill's
+        # service must agree with a clean one on every key.
         faulty = SessionConfig(fault_plan=FaultPlan(crash=(0,)))
         assert faulty.key_bytes() == SessionConfig().key_bytes()
 
@@ -299,39 +297,3 @@ class TestRecords:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
         assert stats["check_ms"] > 0
-
-
-class TestCheckProgramsAlias:
-    """`check_programs` stays, as a thin service veneer (no third
-    entrypoint family)."""
-
-    def test_results_shape_unchanged(self):
-        with pytest.deprecated_call():
-            results = check_programs(["poly ~id", "auto id"])
-        assert [isinstance(r, Result) for r in results] == [True, True]
-        assert [r.ok for r in results] == [True, False]
-        assert results[0].engine == "freezeml"
-
-    def test_alias_routes_through_the_service(self):
-        # Duplicates come back cache-marked: proof the service ran them.
-        with pytest.deprecated_call():
-            results = check_programs(["poly ~id", "poly ~id"])
-        assert [r.cached for r in results] == [False, True]
-
-    def test_alias_accepts_service_options(self):
-        with pytest.deprecated_call():
-            results = check_programs(["poly ~id"] * 3, jobs=2, cache=False)
-        assert [r.ok for r in results] == [True] * 3
-        assert [r.cached for r in results] == [False] * 3
-
-    def test_docstring_carries_deprecation_note(self):
-        assert "deprecated" in check_programs.__doc__.lower()
-
-    def test_deprecation_warning_fires_at_the_call_site(self):
-        # The `.. deprecated:: 1.1` note is now a real warning, aimed
-        # at the caller's frame (stacklevel=2) so `-W error` users see
-        # their own line, not api.py internals.
-        with pytest.warns(DeprecationWarning, match="TypecheckService") as record:
-            check_programs(["poly ~id"])
-        (warning,) = record.list
-        assert warning.filename == __file__
