@@ -21,9 +21,10 @@ the asymptotic claims:
   The skolem-escape premise is a bind-time level comparison, not a
   post-hoc scan over the ambient variables.
 
-Run via ``python -m repro bench`` (part of the default suites) to
-regenerate ``BENCH_solver.json``; diff against a saved baseline with
-``python -m repro bench --compare=OLD.json``.
+Smoke with ``python -m pytest benchmarks/bench_env_scaling.py
+--benchmark-disable`` (a CI step of its own); drop the flag to time,
+and save or diff runs with pytest-benchmark's ``--benchmark-json`` and
+``--benchmark-compare``.
 """
 
 from __future__ import annotations

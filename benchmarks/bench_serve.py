@@ -8,21 +8,25 @@ down the serving-tier claims:
 
 * **Throughput and tail latency** (``serve-load``): requests per
   second and client-observed p50/p99 latency over the Figure 1 corpus
-  at 1/2/4 workers, recorded in every run's JSON ``extra_info`` so
-  ``bench --compare`` catches SLO regressions.
+  at 1/2/4 workers, recorded in every run's ``extra_info``.
 * **In-flight coalescing** (``serve-coalescing``): a hot-key workload
   (every client asking for the same expensive program, caching off so
   the cache cannot mask it) with coalescing on versus off.  The on/off
   rows share a group, making the ratio visible in the JSON; the
   dedicated ratio test asserts one dispatch per client uncoalesced and
-  at most two per wave coalesced, and records the throughput ratio.
+  exactly one per wave coalesced, and records the throughput ratio.
+  A :class:`WaveGate` holds each coalesced dispatch until its wave's
+  followers have joined it, so the counts do not depend on how the
+  clients' threads are scheduled.
 
 Latency percentiles are computed from the raw per-request samples --
 pytest-benchmark's own stats describe whole waves, not requests --
 and stored via ``benchmark.extra_info`` (``throughput_rps``,
-``p50_ms``, ``p99_ms``), which lands in ``BENCH_solver.json``.
+``p50_ms``, ``p99_ms``), which lands in the file named by
+pytest-benchmark's ``--benchmark-json``.
 
-Run via ``python -m repro bench`` to regenerate ``BENCH_solver.json``.
+Run as a correctness smoke with ``python -m pytest
+benchmarks/bench_serve.py --benchmark-disable``; drop the flag to time.
 """
 
 from __future__ import annotations
@@ -85,6 +89,45 @@ def drive_wave(
         return list(pool.map(one, sources))
 
 
+class WaveGate:
+    """Holds each dispatch of a coalescing server until ``followers``
+    copies of its source have coalesced onto it (counted from when the
+    gate was installed, so followers admitted before the dispatch
+    thread reaches the gate count too).
+
+    A wave's clients start together, but under CPU contention the
+    leader's dispatch can finish before the last follower is admitted,
+    and the straggler then dispatches on its own.  Wrapping the broker's
+    ``service.check_many`` (which runs on the dispatch thread) makes the
+    wave's shape a fact: one dispatch, ``followers`` coalesced.  A wave
+    that never fills releases after ``timeout`` seconds and is recorded
+    in ``failures`` for the test to report.
+    """
+
+    def __init__(self, broker, followers: int, timeout: float = 60.0):
+        self.service = broker.service
+        self.check_many = self.service.check_many
+        self.followers = followers
+        self.target = self.service.stats.coalesced
+        self.timeout = timeout
+        self.failures: list[str] = []
+        self.service.check_many = self
+
+    def __call__(self, sources):
+        stats = self.service.stats
+        self.target += self.followers
+        target = self.target
+        deadline = time.monotonic() + self.timeout
+        while stats.coalesced < target:
+            if time.monotonic() > deadline:
+                self.failures.append(
+                    f"{stats.coalesced} of {target} coalesced after {self.timeout}s"
+                )
+                break
+            time.sleep(0.001)
+        return self.check_many(sources)
+
+
 def percentile(samples: list[float], q: float) -> float:
     ordered = sorted(samples)
     index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
@@ -134,22 +177,28 @@ def test_bench_hot_key_wave(benchmark, coalesce):
         config=SessionConfig(), cache=False, coalesce=coalesce
     ) as handle:
         post_check(handle.url, HOT_SOURCE)  # warm sockets + prelude
+        broker = handle.server.broker("default")
+        stats = broker.service.stats
+        warm = stats.misses
+        if coalesce:
+            gate = WaveGate(broker, followers=CLIENTS - 1)
         responses = benchmark(
             drive_wave, handle.url, [HOT_SOURCE] * CLIENTS, latencies
         )
-        stats = handle.server.broker("default").service.stats
     assert all(r["ok"] for r in responses)
     assert len({json.dumps(r, sort_keys=True) for r in responses}) == 1
-    admitted = stats.misses + stats.coalesced  # followers skip the service
+    dispatches = stats.misses - warm
+    admitted = dispatches + stats.coalesced  # followers skip the service
+    waves = admitted // CLIENTS
+    assert admitted == waves * CLIENTS
     if coalesce:
-        assert stats.coalesced > 0
-        # Every wave dispatches at most twice (a straggler that arrives
-        # after its wave's dispatch resolved starts the next one).
-        assert stats.misses <= 2 * (admitted / CLIENTS) + 1
+        assert not gate.failures, gate.failures
+        # Exactly one dispatch per wave; every other client rides along.
+        assert (dispatches, stats.coalesced) == (waves, waves * (CLIENTS - 1))
     else:
         assert stats.coalesced == 0
-        assert stats.misses == admitted  # every copy dispatched
-    benchmark.extra_info["dispatches"] = stats.misses
+        assert dispatches == admitted  # every copy dispatched
+    benchmark.extra_info["dispatches"] = dispatches
     benchmark.extra_info["coalesced"] = stats.coalesced
     benchmark.extra_info["p50_ms"] = round(percentile(latencies, 0.50), 3)
     benchmark.extra_info["p99_ms"] = round(percentile(latencies, 0.99), 3)
@@ -160,20 +209,23 @@ def test_bench_coalescing_throughput_ratio(benchmark):
     """The coalescing claim, asserted on deterministic dispatch counts
     (the ``ServiceStats`` behind ``/stats``) rather than wall clock:
     uncoalesced, every client's request is one dispatch; coalesced, a
-    wave costs one dispatch (two when a straggler arrives after its
-    wave's dispatch resolved) and the other clients ride along.  The
+    wave costs one dispatch and the other clients ride along.  The
     measured throughput ratio, whose ceiling is the client count, is
     recorded in ``extra_info`` only: it moves with the runner's load,
     so a wall-clock floor would flake."""
     waves = 3
     clients = 2 * CLIENTS
+    gates: list[WaveGate] = []
 
     def run(coalesce: bool) -> tuple[float, int, int]:
         with ServerThread(
             config=SessionConfig(), cache=False, coalesce=coalesce
         ) as handle:
-            stats = handle.server.broker("default").service.stats
+            broker = handle.server.broker("default")
+            stats = broker.service.stats
             post_check(handle.url, HOT_SOURCE)  # warm up
+            if coalesce:
+                gates.append(WaveGate(broker, followers=clients - 1))
             misses, coalesced = stats.misses, stats.coalesced
             started = time.perf_counter()
             for _ in range(waves):
@@ -195,5 +247,5 @@ def test_bench_coalescing_throughput_ratio(benchmark):
     benchmark.extra_info["coalesced_dispatches"] = dispatches
     benchmark.extra_info["uncoalesced_dispatches"] = plain_dispatches
     assert (plain_dispatches, plain_coalesced) == (waves * clients, 0)
-    assert dispatches + coalesced == waves * clients
-    assert waves <= dispatches <= 2 * waves, (dispatches, coalesced)
+    assert not [failure for gate in gates for failure in gate.failures]
+    assert (dispatches, coalesced) == (waves, waves * (clients - 1))

@@ -13,7 +13,8 @@ and reused across rounds, as a long-lived server would; on a 1-2 core
 CI box the multi-worker rows chiefly document that fan-out adds no
 correctness or determinism cost, not a speedup.
 
-Run via ``python -m repro bench`` to regenerate ``BENCH_solver.json``.
+Run with ``python -m pytest benchmarks/bench_service.py`` (add
+``--benchmark-disable`` for a correctness smoke).
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def test_bench_degraded_batch(benchmark, jobs):
     """The recovery path: one poison request per batch (a worker-raise
     at position 1, re-fired every round via ``period``), retried once
     and degraded to FML911.  Faults act only in worker processes, so
-    this runs on the pool.  ``bench --compare`` against this row
-    catches regressions in the retry/degrade machinery itself --
-    the healthy rows above never execute it.  Quarantine is off so
+    this runs on the pool.  Comparing this row across runs
+    (``--benchmark-compare``) catches regressions in the retry/degrade
+    machinery itself -- the healthy rows above never execute it.  Quarantine is off so
     every round pays the full recovery cost rather than a lookup."""
     plan = FaultPlan(raise_at=(1,), persistent=True, period=len(BATCH))
     service = TypecheckService(

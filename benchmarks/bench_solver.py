@@ -7,7 +7,8 @@ variable-chain pruning, zonk cost, boundary-view synthesis -- and keep
 one head-to-head group against the paper-literal reference algorithm so
 the speedup ratio is visible in every run's JSON.
 
-Run via ``python -m repro bench`` to regenerate ``BENCH_solver.json``.
+Run with ``python -m pytest benchmarks/bench_solver.py`` (add
+``--benchmark-disable`` for a correctness smoke).
 """
 
 from __future__ import annotations

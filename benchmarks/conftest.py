@@ -5,8 +5,6 @@ same rows the paper reports, asserting the qualitative shape) and
 *times* the underlying computation with pytest-benchmark.
 """
 
-import fnmatch
-import os
 import sys
 
 import pytest
@@ -19,35 +17,6 @@ from repro.corpus.signatures import prelude
 # of 256 in the unify-pathological group; this limit covers the
 # parser/printer/term recursions the workloads still exercise.)
 sys.setrecursionlimit(100_000)
-
-
-def pytest_collection_modifyitems(config, items):
-    """``repro bench --group=GLOB[,GLOB]`` filter.
-
-    The CLI exports the patterns via ``REPRO_BENCH_GROUPS`` (an env var
-    rather than a pytest option: this conftest is not an initial
-    conftest for explicit-path invocations, so ``pytest_addoption``
-    would be unreliable).  Benchmarks whose ``pytest.mark.benchmark``
-    group matches none of the fnmatch patterns are deselected.
-    """
-    spec = os.environ.get("REPRO_BENCH_GROUPS", "")
-    if not spec:
-        return
-    patterns = [p for p in spec.split(",") if p]
-    if not patterns:
-        return
-    selected = []
-    deselected = []
-    for item in items:
-        marker = item.get_closest_marker("benchmark")
-        group = (marker.kwargs.get("group") or "") if marker else ""
-        if any(fnmatch.fnmatchcase(group, pat) for pat in patterns):
-            selected.append(item)
-        else:
-            deselected.append(item)
-    if deselected:
-        config.hook.pytest_deselected(items=deselected)
-        items[:] = selected
 
 
 @pytest.fixture(scope="session")

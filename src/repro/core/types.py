@@ -23,8 +23,8 @@ Hash-consing
 All three constructors intern their nodes through per-process weak
 tables, so structurally equal types are *pointer-identical*: building
 ``TCon("Int")`` twice yields the same object, and ``t1 == t2`` is
-decided by the ``t1 is t2`` fast path whenever both sides were built
-with interning on.  The consequences the solver relies on:
+decided by the ``t1 is t2`` fast path.  The consequences the solver
+relies on:
 
 * equality and hashing are O(1) on interned nodes (``_hash`` is cached
   at construction, ``__eq__`` fast-paths on identity);
@@ -45,18 +45,10 @@ without the ring every generation would die with its run and be
 re-allocated from scratch -- with it, re-construction is a table hit.
 :func:`intern_cache_clear` drops the ring (memory-pressure hooks, leak
 tests).
-
-Setting ``REPRO_NO_INTERN=1`` in the environment disables interning at
-import time -- every constructor then allocates a fresh node and
-``__eq__`` falls back to the structural walk.  Verdicts are
-byte-identical either way (CI diffs the two modes); the escape hatch
-exists for differential testing and for ruling interning out when
-debugging.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import deque
 from typing import Iterable, Iterator
@@ -101,11 +93,6 @@ def constructor_arity(name: str) -> int | None:
 # The intern (hash-cons) tables
 # ---------------------------------------------------------------------------
 
-#: Interning is on unless the escape hatch is set.  Read once at import:
-#: flipping it mid-process would leave mixed node populations behind.
-INTERNING: bool = os.environ.get("REPRO_NO_INTERN", "") in ("", "0")
-
-
 class _Ref(weakref.ref):
     """A weak reference that remembers its table key."""
 
@@ -140,7 +127,7 @@ _tforall_remove = _make_remover(_TFORALL_TABLE)
 #: worst-case pinned memory is a few MB, not proportional to workload.
 INTERN_RECENT = 16_384
 
-_RECENT = deque(maxlen=INTERN_RECENT) if INTERNING else None
+_RECENT = deque(maxlen=INTERN_RECENT)
 
 
 def intern_cache_clear() -> None:
@@ -151,8 +138,7 @@ def intern_cache_clear() -> None:
     garbage collection.  Memory-pressure hooks and leak tests call this
     to make table sizes reflect *live* types only.
     """
-    if _RECENT is not None:
-        _RECENT.clear()
+    _RECENT.clear()
 
 
 def intern_stats() -> dict[str, int]:
@@ -166,8 +152,7 @@ def intern_stats() -> dict[str, int]:
         "tvar": len(_TVAR_TABLE),
         "tcon": len(_TCON_TABLE),
         "tforall": len(_TFORALL_TABLE),
-        "recent": len(_RECENT) if _RECENT is not None else 0,
-        "interning": int(INTERNING),
+        "recent": len(_RECENT),
     }
 
 
@@ -188,12 +173,10 @@ _H_TFORALL = 0x6A09E667
 class Type:
     """Abstract base class of FreezeML/System F types.
 
-    Instances are immutable (attribute assignment raises) and interned:
-    with interning on, structural equality coincides with ``is``.  The
-    structural ``__eq__``/``__hash__`` below remain correct with
-    interning off (the ``REPRO_NO_INTERN`` escape hatch) -- the walk is
-    iterative, so comparing deep towers never risks interpreter
-    recursion.
+    Instances are immutable (attribute assignment raises) and interned,
+    so structural equality coincides with ``is``.  ``__eq__`` still
+    walks the structure (iteratively, so deep towers never risk
+    interpreter recursion) rather than trust identity alone.
     """
 
     __slots__ = ("__weakref__", "_hash")
@@ -212,10 +195,9 @@ class Type:
             return True
         if not isinstance(other, Type):
             return NotImplemented
-        # Iterative structural comparison.  With interning on, equal
-        # subtrees are identical objects, so the tuple comparison below
-        # short-circuits per element and the stack never grows; the walk
-        # only matters for nodes built with interning off.
+        # Iterative structural comparison.  Equal subtrees are
+        # identical objects, so the walk short-circuits per element and
+        # the stack never grows.
         stack = [(self, other)]
         pop = stack.pop
         while stack:
@@ -259,21 +241,18 @@ class TVar(Type):
     __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "TVar":
-        if INTERNING:
-            wr = _TVAR_TABLE.get(name)
-            if wr is not None:
-                t = wr()
-                if t is not None:
-                    return t
+        wr = _TVAR_TABLE.get(name)
+        if wr is not None:
+            t = wr()
+            if t is not None:
+                return t
         t = object.__new__(cls)
         _SETATTR(t, "name", name)
         _SETATTR(t, "_hash", hash(name) ^ _H_TVAR)
-        if INTERNING:
-            ref = _Ref(t, _tvar_remove)
-            ref.key = name
-            _TVAR_TABLE[name] = ref
-            if _RECENT is not None:
-                _RECENT.append(t)
+        ref = _Ref(t, _tvar_remove)
+        ref.key = name
+        _TVAR_TABLE[name] = ref
+        _RECENT.append(t)
         return t
 
     def __reduce__(self):
@@ -313,25 +292,22 @@ class TForall(Type):
     __slots__ = ("var", "body", "_ftv", "_inst")
 
     def __new__(cls, var: str, body: Type) -> "TForall":
-        if INTERNING:
-            key = (var, body)
-            wr = _TFORALL_TABLE.get(key)
-            if wr is not None:
-                t = wr()
-                if t is not None:
-                    return t
+        key = (var, body)
+        wr = _TFORALL_TABLE.get(key)
+        if wr is not None:
+            t = wr()
+            if t is not None:
+                return t
         t = object.__new__(cls)
         _SETATTR(t, "var", var)
         _SETATTR(t, "body", body)
         _SETATTR(t, "_ftv", None)
         _SETATTR(t, "_inst", None)
         _SETATTR(t, "_hash", hash((var, body)) ^ _H_TFORALL)
-        if INTERNING:
-            ref = _Ref(t, _tforall_remove)
-            ref.key = key
-            _TFORALL_TABLE[key] = ref
-            if _RECENT is not None:
-                _RECENT.append(t)
+        ref = _Ref(t, _tforall_remove)
+        ref.key = key
+        _TFORALL_TABLE[key] = ref
+        _RECENT.append(t)
         return t
 
     def __reduce__(self):
@@ -340,24 +316,21 @@ class TForall(Type):
 
 def _new_tcon(con: str, args: "tuple[Type, ...]") -> TCon:
     """Intern-aware TCon allocation (arity already validated/waived)."""
-    if INTERNING:
-        key = (con, args)
-        wr = _TCON_TABLE.get(key)
-        if wr is not None:
-            t = wr()
-            if t is not None:
-                return t
+    key = (con, args)
+    wr = _TCON_TABLE.get(key)
+    if wr is not None:
+        t = wr()
+        if t is not None:
+            return t
     t = object.__new__(TCon)
     _SETATTR(t, "con", con)
     _SETATTR(t, "args", args)
     _SETATTR(t, "_ftv", None)
     _SETATTR(t, "_hash", hash((con, args)) ^ _H_TCON)
-    if INTERNING:
-        ref = _Ref(t, _tcon_remove)
-        ref.key = key
-        _TCON_TABLE[key] = ref
-        if _RECENT is not None:
-            _RECENT.append(t)
+    ref = _Ref(t, _tcon_remove)
+    ref.key = key
+    _TCON_TABLE[key] = ref
+    _RECENT.append(t)
     return t
 
 

@@ -219,6 +219,21 @@ class TestCheckSubcommand:
         assert run_check([str(good), "--wat"]) == 2
         assert run_check([str(good) + ".missing"]) == 2
         assert main(["check"]) == 2
+        # Usage errors go to stderr with the usage line, never stdout.
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: python -m repro check" in captured.err
+
+    @pytest.mark.parametrize("argv", [["chekc", "x.fml"], ["bench"], ["--wat"]])
+    def test_unknown_subcommand_exits_2(self, argv, capsys, monkeypatch):
+        # A mistyped subcommand must not fall through to the REPL, which
+        # would print its banner and exit 0 on a closed stdin.
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown command {argv[0]!r}" in captured.err
+        assert "usage:" in captured.err
 
     def test_main_dispatches_check(self, tree, capsys):
         good, *_ = tree
@@ -322,18 +337,31 @@ class TestCheckServiceOptions:
         assert run_check([str(good), "--jobs=0"]) == 2
 
     def test_parse_check_args_pure(self):
-        from repro.cli import parse_check_args
+        from repro.cli import check_parser
 
-        opts = parse_check_args(
+        opts = check_parser().parse_intermixed_args(
             ["a.fml", "-", "--jobs", "4", "--no-cache", "--engine=hmf"]
         )
-        assert opts["files"] == ["a.fml", "-"]
-        assert opts["jobs"] == 4
-        assert opts["cache"] is False
-        assert opts["engine"] == "hmf"
-        assert opts["stats"] is False
-        assert parse_check_args(["a.fml", "--stats"])["stats"] is True
-        assert isinstance(parse_check_args(["--wat"]), str)
+        assert opts.files == ["a.fml", "-"]
+        assert opts.jobs == 4
+        assert opts.cache is False
+        assert opts.engine == "hmf"
+        assert opts.stats is False
+        assert check_parser().parse_intermixed_args(["a.fml", "--stats"]).stats
+        # Options may sit between files.
+        assert check_parser().parse_intermixed_args(
+            ["a.fml", "--json", "b.fml"]
+        ).files == ["a.fml", "b.fml"]
+
+    def test_parse_check_args_rejects_with_exit_2(self, capsys):
+        from repro.cli import check_parser
+
+        for argv in (["--wat"], ["a.fml", "--stat"], ["a.fml", "--fuel=0"]):
+            with pytest.raises(SystemExit) as exc:
+                check_parser().parse_intermixed_args(argv)
+            assert exc.value.code == 2, argv
+        # No abbreviations: `--stat` is not `--stats`.
+        assert "unrecognized arguments: --stat" in capsys.readouterr().err
 
     def test_stats_prints_service_counters_to_stderr(self, good, capsys):
         assert run_check([str(good), str(good), "--stats"]) == 0
@@ -357,322 +385,3 @@ class TestCheckServiceOptions:
         assert first.out == second.out
         assert first.err == second.err
         json.loads(first.out)  # --json stdout is still pure JSON
-
-
-class TestBenchCommand:
-    def test_default_command_writes_json(self):
-        from repro.cli import BENCH_DEFAULT_SUITES, build_bench_command
-
-        cmd, output = build_bench_command([], python="py")
-        assert output == "BENCH_solver.json"
-        assert cmd[:4] == ["py", "-m", "pytest", "-q"]
-        assert list(BENCH_DEFAULT_SUITES) == cmd[4:-1]
-        assert cmd[-1] == "--benchmark-json=BENCH_solver.json"
-
-    def test_quick_mode_disables_timing(self):
-        from repro.cli import build_bench_command
-
-        cmd, output = build_bench_command(["--quick"], python="py")
-        assert output == ""
-        assert "--benchmark-disable" in cmd
-        assert not any(a.startswith("--benchmark-json") for a in cmd)
-
-    def test_all_and_output_flags(self):
-        from repro.cli import build_bench_command
-
-        cmd, output = build_bench_command(
-            ["--all", "--output=out.json"], python="py"
-        )
-        assert output == "out.json"
-        assert "benchmarks" in cmd
-        assert cmd[-1] == "--benchmark-json=out.json"
-
-    def test_env_scaling_suite_is_in_the_default_set(self):
-        from repro.cli import BENCH_DEFAULT_SUITES
-
-        assert "benchmarks/bench_env_scaling.py" in BENCH_DEFAULT_SUITES
-
-    def test_suite_filter_selects_named_modules(self):
-        from repro.cli import build_bench_command
-
-        cmd, output = build_bench_command(
-            ["--suite=solver,unification"], python="py"
-        )
-        assert output == "BENCH_solver.json"
-        assert cmd[4:-1] == [
-            "benchmarks/bench_solver.py",
-            "benchmarks/bench_unification.py",
-        ]
-
-    def test_suite_filter_normalises_entry_spellings(self):
-        from repro.cli import bench_suite_name
-
-        assert bench_suite_name("solver") == "solver"
-        assert bench_suite_name("bench_solver") == "solver"
-        assert bench_suite_name("bench_solver.py") == "solver"
-        assert bench_suite_name("benchmarks/bench_solver.py") == "solver"
-
-    def test_suite_conflicts_with_all(self):
-        from repro.cli import run_bench
-
-        assert run_bench(["--all", "--suite=solver"]) == 2
-
-    def test_unknown_suite_is_a_usage_error(self):
-        from repro.cli import run_bench
-
-        assert run_bench(["--suite=does_not_exist"]) == 2
-
-    def test_group_filter_is_exported_to_the_pytest_subprocess(
-        self, monkeypatch, tmp_path
-    ):
-        import subprocess
-
-        from repro import cli
-
-        seen = {}
-
-        def fake_call(cmd, cwd=None, env=None):
-            seen["env"] = env
-            return 0
-
-        monkeypatch.setattr(subprocess, "call", fake_call)
-        assert cli.run_bench(["--quick", "--group=unify-*,solver-*"]) == 0
-        assert seen["env"]["REPRO_BENCH_GROUPS"] == "unify-*,solver-*"
-
-    def test_group_filter_deselects_other_groups(self, monkeypatch):
-        """The conftest hook keeps only matching benchmark groups."""
-        import fnmatch
-
-        monkeypatch.setenv("REPRO_BENCH_GROUPS", "unify-path*")
-
-        import importlib.util
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest_under_test", root / "benchmarks" / "conftest.py"
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        class FakeMarker:
-            def __init__(self, group):
-                self.kwargs = {"group": group}
-
-        class FakeItem:
-            def __init__(self, group):
-                self._m = FakeMarker(group) if group is not None else None
-
-            def get_closest_marker(self, name):
-                return self._m
-
-        class FakeHook:
-            def __init__(self):
-                self.deselected = []
-
-            def pytest_deselected(self, items):
-                self.deselected.extend(items)
-
-        class FakeConfig:
-            hook = FakeHook()
-
-        keep = FakeItem("unify-pathological")
-        drop_group = FakeItem("serve-latency")
-        drop_unmarked = FakeItem(None)
-        items = [keep, drop_group, drop_unmarked]
-        config = FakeConfig()
-        mod.pytest_collection_modifyitems(config, items)
-        assert items == [keep]
-        assert set(config.hook.deselected) == {drop_group, drop_unmarked}
-
-    def test_compare_rejects_quick_mode(self):
-        from repro.cli import run_bench
-
-        assert run_bench(["--quick", "--compare=whatever.json"]) == 2
-
-    def test_compare_missing_baseline_is_a_usage_error(self, tmp_path):
-        from repro.cli import run_bench
-
-        assert run_bench([f"--compare={tmp_path / 'nope.json'}"]) == 2
-
-    def test_compare_corrupt_baseline_is_a_usage_error(self, tmp_path):
-        from repro.cli import run_bench
-
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run_bench([f"--compare={bad}"]) == 2
-
-    @pytest.mark.parametrize(
-        "fresh_p99, expected", ((60.0, 1), (42.0, 0)), ids=("regressed", "ok")
-    )
-    def test_compare_gates_on_the_p99_slo(
-        self, tmp_path, monkeypatch, capsys, fresh_p99, expected
-    ):
-        """``bench --compare`` exits 1 when a recorded p99 regresses
-        past the SLO.  The pytest subprocess is stubbed out: the stub
-        writes the fresh JSON where ``--benchmark-json`` points, which
-        is all ``run_bench`` sees of a real run."""
-        import subprocess
-
-        from repro.cli import run_bench
-
-        doc = _slo_doc([("serve-load", "t[2]", {"p99_ms": 40.0})])
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(doc))
-        fresh = _slo_doc([("serve-load", "t[2]", {"p99_ms": fresh_p99})])
-
-        def fake_call(cmd, **kwargs):
-            (json_arg,) = [
-                a for a in cmd if a.startswith("--benchmark-json=")
-            ]
-            with open(json_arg.split("=", 1)[1], "w") as fh:
-                json.dump(fresh, fh)
-            return 0
-
-        monkeypatch.setattr(subprocess, "call", fake_call)
-        code = run_bench(
-            [f"--output={tmp_path / 'fresh.json'}", f"--compare={baseline}"]
-        )
-        out = capsys.readouterr().out
-        assert code == expected
-        if expected:
-            assert "SLO gate FAILED" in out and "serve-load:t[2]" in out
-        else:
-            assert "SLO gate: all recorded p99" in out
-
-
-def _bench_doc(entries):
-    return {
-        "benchmarks": [
-            {"group": group, "name": name, "stats": {"mean": mean}}
-            for group, name, mean in entries
-        ]
-    }
-
-
-class TestBenchComparison:
-    def test_speedup_and_regression_rendering(self):
-        from repro.cli import format_bench_comparison
-
-        old = _bench_doc(
-            [
-                ("unify", "t[16]", 0.004),
-                ("unify", "t[4]", 0.001),
-                ("lets", "chain[8]", 0.010),
-            ]
-        )
-        new = _bench_doc(
-            [
-                ("unify", "t[16]", 0.0005),  # 8x faster
-                ("unify", "t[4]", 0.001),  # unchanged
-                ("lets", "chain[8]", 0.020),  # 2x slower: regression
-            ]
-        )
-        lines = format_bench_comparison(old, new)
-        text = "\n".join(lines)
-        assert "unify" in text and "8.00x" in text
-        assert "** REGRESSION" in text
-        # The regression flag is attached to the slowed benchmark only.
-        flagged = [line for line in lines if "REGRESSION" in line]
-        assert len(flagged) == 1 and "chain[8]" in flagged[0]
-
-    def test_small_noise_is_not_flagged(self):
-        from repro.cli import format_bench_comparison
-
-        old = _bench_doc([("g", "a", 0.0100)])
-        new = _bench_doc([("g", "a", 0.0105)])  # 5% slower: noise
-        assert not any(
-            "REGRESSION" in line for line in format_bench_comparison(old, new)
-        )
-
-    def test_disjoint_benchmarks_are_listed(self):
-        from repro.cli import format_bench_comparison
-
-        old = _bench_doc([("g", "gone", 0.01)])
-        new = _bench_doc([("g", "fresh", 0.01)])
-        text = "\n".join(format_bench_comparison(old, new))
-        assert "only in baseline: g:gone" in text
-        assert "only in new run: g:fresh" in text
-
-    def test_geomean_per_group(self):
-        from repro.cli import format_bench_comparison
-
-        old = _bench_doc([("g", "a", 0.004), ("g", "b", 0.001)])
-        new = _bench_doc([("g", "a", 0.001), ("g", "b", 0.001)])
-        (header, *_rows) = format_bench_comparison(old, new)
-        assert header.startswith("g  (geomean speedup 2.00x)")
-
-
-def _slo_doc(entries):
-    return {
-        "benchmarks": [
-            {
-                "group": group,
-                "name": name,
-                "stats": {"mean": 0.01},
-                "extra_info": extra,
-            }
-            for group, name, extra in entries
-        ]
-    }
-
-
-class TestSloGate:
-    """The p99 SLO gate over ``extra_info`` (pure, like the diff)."""
-
-    def test_regression_past_threshold_is_a_violation(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc([("serve-load", "t[2]", {"p99_ms": 40.0})])
-        new = _slo_doc([("serve-load", "t[2]", {"p99_ms": 60.0})])  # 1.5x
-        assert slo_violations(old, new) == [
-            ("serve-load", "t[2]", 40.0, 60.0)
-        ]
-
-    def test_within_threshold_passes(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc([("serve-load", "t[2]", {"p99_ms": 40.0})])
-        new = _slo_doc([("serve-load", "t[2]", {"p99_ms": 48.0})])  # 1.2x
-        assert slo_violations(old, new) == []
-
-    def test_benchmarks_without_the_metric_are_ignored(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc(
-            [
-                ("serve-coalescing", "hot", {"dispatches": 3}),
-                ("solver", "deep", {}),
-            ]
-        )
-        new = _slo_doc(
-            [
-                ("serve-coalescing", "hot", {"dispatches": 900}),
-                ("solver", "deep", {}),
-            ]
-        )
-        assert slo_violations(old, new) == []
-
-    def test_new_and_dropped_benchmarks_are_not_violations(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc([("serve-load", "gone", {"p99_ms": 40.0})])
-        new = _slo_doc([("serve-load", "fresh", {"p99_ms": 999.0})])
-        assert slo_violations(old, new) == []
-
-    def test_custom_metric_and_threshold(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc([("serve-load", "t", {"p50_ms": 10.0})])
-        new = _slo_doc([("serve-load", "t", {"p50_ms": 11.5})])
-        assert slo_violations(old, new, metric="p50_ms") == []
-        assert slo_violations(
-            old, new, metric="p50_ms", threshold=1.10
-        ) == [("serve-load", "t", 10.0, 11.5)]
-
-    def test_zero_or_bogus_baseline_never_divides(self):
-        from repro.cli import slo_violations
-
-        old = _slo_doc([("g", "a", {"p99_ms": 0.0}), ("g", "b", {"p99_ms": "n/a"})])
-        new = _slo_doc([("g", "a", {"p99_ms": 50.0}), ("g", "b", {"p99_ms": 50.0})])
-        assert slo_violations(old, new) == []

@@ -4,20 +4,16 @@ The intern tables in :mod:`repro.core.types` guarantee that two
 structurally equal type nodes are the *same object* -- that is the
 substrate for the solver's identity fast paths (``left is right`` in
 ``_unify``, the zonk/apply memos, shared ``ftv`` caches).  These tests
-pin down both directions of the invariant, the weak-table lifecycle
+pin down both directions of the invariant and the weak-table lifecycle
 (nodes die with their last owner; the tables do not grow without bound
-across solver runs), and the ``REPRO_NO_INTERN`` escape hatch.
+across solver runs).
 """
 
 from __future__ import annotations
 
 import gc
-import os
-import subprocess
-import sys
 import weakref
 
-import pytest
 from hypothesis import given, settings
 
 from repro.core.kinds import Kind, KindEnv
@@ -28,18 +24,10 @@ from repro.core.types import (
     TForall,
     TVar,
     Type,
-    INTERNING,
     arrow,
     intern_cache_clear,
     intern_stats,
     list_of,
-)
-
-# Identity and lifecycle assertions only hold with the tables on; under
-# the REPRO_NO_INTERN escape hatch they are skipped (TestEscapeHatch
-# still runs -- it spawns its own no-intern subprocess either way).
-requires_interning = pytest.mark.skipif(
-    not INTERNING, reason="interning disabled via REPRO_NO_INTERN"
 )
 from tests.strategies import monotypes, polytypes
 
@@ -75,7 +63,6 @@ def structurally_equal(left: Type, right: Type) -> bool:
     )
 
 
-@requires_interning
 class TestInternIdentity:
     """intern(t1) is intern(t2)  iff  t1 and t2 are structurally equal."""
 
@@ -106,7 +93,6 @@ class TestInternIdentity:
         assert ftv_peek(other) == frozenset({"fresh_cache_probe"})
 
 
-@requires_interning
 class TestInternLifecycle:
     """The weak tables release nodes with their last owner."""
 
@@ -150,7 +136,11 @@ class TestInternLifecycle:
         assert after["tforall"] <= before["tforall"]
 
     def test_stats_report_interning_enabled(self):
-        assert intern_stats()["interning"] == 1
+        # Interning is unconditional: the stats are the three live
+        # tables plus the recency ring, and the tables are in use.
+        stats = intern_stats()
+        assert set(stats) == {"tvar", "tcon", "tforall", "recent"}
+        assert stats["tcon"] > 0
 
     def test_recency_ring_pins_and_releases(self):
         """Fresh nodes sit in the strong ring until cleared; the stats
@@ -167,54 +157,3 @@ class TestInternLifecycle:
         intern_cache_clear()
         gc.collect()
         assert ref() is None
-
-
-class TestEscapeHatch:
-    """REPRO_NO_INTERN=1 disables the tables (used by the CI diff job)."""
-
-    def test_subprocess_without_interning_still_equal_not_identical(self):
-        code = (
-            "from repro.core.types import TVar, arrow, INT, intern_stats\n"
-            "a = arrow(INT, TVar('x'))\n"
-            "b = arrow(INT, TVar('x'))\n"
-            "assert intern_stats()['interning'] == 0\n"
-            "assert a is not b\n"
-            "assert a == b\n"
-            "print('ok')\n"
-        )
-        env = dict(os.environ, REPRO_NO_INTERN="1")
-        env["PYTHONPATH"] = "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_verdicts_identical_without_interning(self):
-        """Inference results do not depend on interning (byte-level
-        determinism is CI's job; object-level agreement is checked
-        here on one representative program)."""
-        program = "let id = \\x. x in (id 1, ~id)"
-        code = (
-            "import json\n"
-            "from repro.api import Session\n"
-            f"r = Session().check({program!r})\n"
-            "print(json.dumps(r.to_dict(), sort_keys=True))\n"
-        )
-        outs = []
-        for no_intern in ("0", "1"):
-            env = dict(os.environ, REPRO_NO_INTERN=no_intern, PYTHONPATH="src")
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]

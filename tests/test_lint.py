@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import GROUPS, LintContext, all_passes, run_lint
 from repro.api import Session
-from repro.cli import parse_check_args, run_check
+from repro.cli import check_parser, run_check
 from repro.core.infer import Inferencer
 from repro.diagnostics import Severity
 from repro.engines.freezeml import FreezeMLEngine
@@ -448,12 +448,14 @@ class TestDeterminismAndCaching:
 
 class TestCLI:
     def test_check_args_accept_lint_flags(self):
-        opts = parse_check_args(["a.fml", "--lint", "--strict-warnings"])
-        assert opts["lint"] and opts["strict_warnings"]
+        opts = check_parser().parse_intermixed_args(
+            ["a.fml", "--lint", "--strict-warnings"]
+        )
+        assert opts.lint and opts.strict_warnings
 
     def test_check_args_default_lint_off(self):
-        opts = parse_check_args(["a.fml"])
-        assert not opts["lint"] and not opts["strict_warnings"]
+        opts = check_parser().parse_intermixed_args(["a.fml"])
+        assert not opts.lint and not opts.strict_warnings
 
     def test_warnings_keep_exit_zero_without_strict(self, tmp_path, capsys):
         target = tmp_path / "warn.fml"

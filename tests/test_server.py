@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Result
-from repro.cli import parse_serve_args, run_check, run_serve
+from repro.cli import run_check, run_serve, serve_parser
 from repro.server import (
     FUEL_CLASSES,
     LOW_FUEL_FALLBACK,
@@ -503,26 +503,29 @@ class TestCheckJsonParity:
 
 class TestServeCli:
     def test_parse_serve_args_defaults(self):
-        opts = parse_serve_args([])
-        assert opts["host"] == "127.0.0.1" and opts["port"] == 8765
-        assert opts["jobs"] == 1 and opts["max_pending"] == 256
-        assert opts["coalesce"] and opts["persist"] and opts["cache"]
-        assert opts["drain_timeout"] == 10.0
+        opts = serve_parser().parse_args([])
+        assert opts.host == "127.0.0.1" and opts.port == 8765
+        assert opts.jobs == 1 and opts.max_pending == 256
+        assert opts.coalesce and opts.persist and opts.cache
+        assert opts.drain_timeout == 10.0
 
     def test_parse_serve_args_resilience_flags(self):
-        assert parse_serve_args(["--drain-timeout", "0"])["drain_timeout"] == 0.0
-        assert parse_serve_args(["--drain-timeout=2.5"])["drain_timeout"] == 2.5
+        parse = serve_parser().parse_args
+        assert parse(["--drain-timeout", "0"]).drain_timeout == 0.0
+        assert parse(["--drain-timeout=2.5"]).drain_timeout == 2.5
 
-    def test_parse_serve_args_resilience_errors(self):
+    def test_parse_serve_args_resilience_errors(self, capsys):
         for argv in (
             ["--drain-timeout", "-0.5"],
             ["--drain-timeout", "soon"],
             ["--drain-timeout"],
         ):
-            assert isinstance(parse_serve_args(argv), str), argv
+            with pytest.raises(SystemExit) as exc:
+                serve_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
 
     def test_parse_serve_args_flags(self):
-        opts = parse_serve_args(
+        opts = serve_parser().parse_args(
             [
                 "--port=0",
                 "--jobs",
@@ -540,15 +543,15 @@ class TestServeCli:
                 "--no-coalesce",
             ]
         )
-        assert opts["port"] == 0 and opts["jobs"] == 4
-        assert opts["engine"] == "hmf" and opts["strategy"] == "e"
-        assert opts["value_restriction"] is False
-        assert opts["fuel"] == 500 and opts["max_depth"] == 40
-        assert opts["timeout"] == 2.5
-        assert opts["cache_path"] == "/tmp/v.sqlite"
-        assert opts["max_pending"] == 8 and opts["coalesce"] is False
+        assert opts.port == 0 and opts.jobs == 4
+        assert opts.engine == "hmf" and opts.strategy == "e"
+        assert opts.value_restriction is False
+        assert opts.fuel == 500 and opts.max_depth == 40
+        assert opts.timeout == 2.5
+        assert opts.cache_path == "/tmp/v.sqlite"
+        assert opts.max_pending == 8 and opts.coalesce is False
 
-    def test_parse_serve_args_errors(self):
+    def test_parse_serve_args_errors(self, capsys):
         for argv in (
             ["--wat"],
             ["--port"],
@@ -557,16 +560,19 @@ class TestServeCli:
             ["--max-pending", "-1"],
             ["--fuel", "0"],
             ["--timeout", "-1"],
+            ["--timeout", "0"],
             ["--timeout", "soon"],
             ["--cache"],
             ["--host"],
         ):
-            assert isinstance(parse_serve_args(argv), str), argv
+            with pytest.raises(SystemExit) as exc:
+                serve_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
 
     def test_run_serve_usage_error_exits_2(self, capsys):
         assert run_serve(["--wat"]) == 2
         err = capsys.readouterr().err
-        assert "unknown serve option" in err and "usage:" in err
+        assert "unrecognized arguments: --wat" in err and "usage:" in err
 
     def test_run_serve_bad_engine_exits_2(self, capsys):
         assert run_serve(["--engine=mlton"]) == 2
