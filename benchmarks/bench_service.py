@@ -20,11 +20,13 @@ Run with ``python -m pytest benchmarks/bench_service.py`` (add
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.corpus.examples import EXAMPLES
-from repro.service import FaultPlan, SessionConfig, TypecheckService
+from repro.engines import register_engine
+from repro.service import SessionConfig, TypecheckService
 
 #: The serving workload: every self-contained Figure 1 program (a mix of
 #: well-typed and ill-typed, exactly what a frontend sees).
@@ -90,17 +92,22 @@ def test_bench_cache_hit_path(benchmark):
 
 @pytest.mark.parametrize("jobs", (2,))
 @pytest.mark.benchmark(group="service-degraded")
-def test_bench_degraded_batch(benchmark, jobs):
-    """The recovery path: one poison request per batch (a worker-raise
-    at position 1, re-fired every round via ``period``), retried once
-    and degraded to FML911.  Faults act only in worker processes, so
-    this runs on the pool.  Comparing this row across runs
-    (``--benchmark-compare``) catches regressions in the retry/degrade
-    machinery itself -- the healthy rows above never execute it.  Quarantine is off so
-    every round pays the full recovery cost rather than a lookup."""
-    plan = FaultPlan(raise_at=(1,), persistent=True, period=len(BATCH))
+def test_bench_degraded_batch(benchmark, jobs, monkeypatch, tmp_path):
+    """The recovery path: one poison request per batch (a program whose
+    worker raises, at position 1, every round), retried once and
+    degraded to FML911.  The test suite's chaos engine raises it, in
+    worker processes only, so this runs on the pool.  Comparing this
+    row across runs (``--benchmark-compare``) catches regressions in the
+    retry/degrade machinery itself -- the healthy rows above never
+    execute it.  Quarantine is off so every round pays the full
+    recovery cost rather than a lookup."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tests"))
+    import chaos_engine
+
+    batch = [BATCH[0], "let chaos_raise = 0 in 1", *BATCH[1:]]
+    previous = chaos_engine.install(tmp_path)
     service = TypecheckService(
-        SessionConfig(fault_plan=plan),
+        SessionConfig(),
         jobs=jobs,
         cache=False,
         max_retries=1,
@@ -109,9 +116,10 @@ def test_bench_degraded_batch(benchmark, jobs):
     )
     try:
         service.check_many(BATCH[:1])  # pay pool start-up up front
-        responses = benchmark(service.check_many, BATCH)
+        responses = benchmark(service.check_many, batch)
     finally:
         service.close()
+        register_engine(previous, replace=True)
     degraded = [
         r for r in responses if any(d.code == "FML911" for d in r.result.diagnostics)
     ]

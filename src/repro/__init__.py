@@ -13,8 +13,9 @@ The main entry points:
 
 * :class:`Session` -- the unified facade: a stateful session with
   guarded request methods (``infer``, ``define``, ``elaborate``,
-  ``derive``, ``evaluate``, ``run_program``, ``check``, ``check_many``)
-  returning structured :class:`Result`/:class:`Diagnostic` records.
+  ``derive``, ``evaluate``, ``check``, ``check_many``) returning
+  structured :class:`Result`/:class:`Diagnostic` records; every request
+  reads bare terms and ``sig``/``def``/``main`` programs alike.
   Exceptions never escape it.
 
   >>> from repro import Session
@@ -28,8 +29,8 @@ The main entry points:
 * :class:`TypecheckService` (:mod:`repro.service`) -- the serving
   layer: batch checks across a worker-process pool with a result cache,
   JSON-ready request/response records, and fault tolerance for worker
-  pools (per-request deadlines, crash recovery, :class:`FaultPlan`
-  injection in workers).
+  pools (per-request deadlines, crash recovery, retries, bisection and
+  quarantine).
 * :class:`Budget` (:mod:`repro.core.solver`) -- the deterministic work
   budget (``fuel``/``max_depth``) that degrades runaway inference to a
   stable ``FML901``/``FML902`` diagnostic instead of running away;
@@ -62,7 +63,6 @@ from .engines import Engine, get_engine, register_engine, unregister_engine
 from .service import (
     CheckRequest,
     CheckResponse,
-    FaultPlan,
     ServiceStats,
     SessionConfig,
     TypecheckService,
@@ -106,7 +106,6 @@ __all__ = [
     "CheckResponse",
     "Diagnostic",
     "Engine",
-    "FaultPlan",
     "FreezeMLError",
     "LoadShedError",
     "PersistentCache",

@@ -8,8 +8,8 @@ value environment, the instantiation strategy, the engine selection --
 and exposes request methods (:meth:`~Session.infer`,
 :meth:`~Session.define`, :meth:`~Session.elaborate`,
 :meth:`~Session.derive`, :meth:`~Session.evaluate`,
-:meth:`~Session.run_program`, :meth:`~Session.check`) that all return a
-structured :class:`Result` carrying either a payload or a list of
+:meth:`~Session.check`) that all return a structured :class:`Result`
+carrying either a payload or a list of
 :class:`~repro.diagnostics.Diagnostic` records.  **Exceptions never
 cross this boundary**: every :class:`~repro.errors.FreezeMLError` is
 converted to a diagnostic with an error code and, where the parser's
@@ -340,8 +340,13 @@ class Session:
     # -- plumbing -----------------------------------------------------------
 
     def _parse(self, source: str | Term) -> tuple[Term, SpanTable | None]:
+        """Read a bare term or a ``sig``/``def``/``main`` program (which
+        desugars to nested lets around ``main``, Section 6)."""
         if isinstance(source, Term):
             return source, None
+        if _is_program(source):
+            term, spans, _def_sites = parse_program_spanned(source)
+            return term, spans
         return parse_term_spanned(source)
 
     def _fail(
@@ -591,31 +596,6 @@ class Session:
             source=text,
             engine=self.engine,
             rendered=show_value(value),
-            value=value,
-        )
-
-    def run_program(self, source: str) -> Result:
-        """Type and run a ``sig``/``def``/``main`` program (Section 6).
-
-        The program desugars to nested (annotated) lets around ``main``;
-        the result carries both the program type and the value of
-        ``main``.
-        """
-        try:
-            definitions, main = parse_program(source)
-            term = desugar_program(definitions, main)
-            ty, shown = self._infer_term(term, None, self._engine_impl)
-            value = eval_freezeml(term, dict(self.values))
-        except FreezeMLError as exc:
-            return self._fail("run_program", source, exc)
-        return Result(
-            request="run_program",
-            ok=True,
-            source=source,
-            engine=self.engine,
-            rendered=f"{show_value(value)} : {shown}",
-            ty=ty,
-            type_str=shown,
             value=value,
         )
 

@@ -22,11 +22,12 @@ independent validations of every inference result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .env import TypeEnv
 from .infer import Elaborator, infer_raw
 from .kinds import Kind, KindEnv
-from .subst import Subst, instantiation_from
+from .subst import instantiation_from
 from .terms import (
     App,
     FrozenVar,
@@ -147,12 +148,12 @@ class DerivationElaborator(Elaborator):
             data={"type_args": tuple(type_args)},
         )
 
-    def zonk(self, payload, subst):
-        return zonk_derivation(payload, subst)
 
-
-def zonk_derivation(deriv: Derivation, subst: Subst) -> Derivation:
-    """Apply a substitution to every type embedded in a derivation."""
+def zonk_derivation(
+    deriv: Derivation, subst: Callable[[Type], Type]
+) -> Derivation:
+    """Apply a substitution (a :class:`~repro.core.subst.Subst`, or a
+    solver's ``zonk``) to every type embedded in a derivation."""
     data = dict(deriv.data)
     for key in ("scheme", "param_ty", "var_ty"):
         if key in data:
@@ -169,7 +170,7 @@ def zonk_derivation(deriv: Derivation, subst: Subst) -> Derivation:
     )
 
 
-def _zonk_term(term: Term, subst: Subst) -> Term:
+def _zonk_term(term: Term, subst: Callable[[Type], Type]) -> Term:
     """Zonk annotation types embedded in a reconstructed term."""
     if isinstance(term, LamAnn):
         return LamAnn(term.param, subst(term.ann), _zonk_term(term.body, subst))
@@ -197,7 +198,7 @@ def derive(
 ) -> tuple[Derivation, KindEnv]:
     """Infer and return the (zonked) derivation plus residual kinds."""
     result = infer_raw(term, env, delta, elaborator=DerivationElaborator(), **options)
-    return zonk_derivation(result.payload, result.subst), result.theta_env
+    return zonk_derivation(result.payload, result.solver.zonk), result.theta_env
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ derivations, it is threaded through inference as a pluggable
 :class:`Elaborator`; the default hook builds nothing.  The System F
 building hook lives in :mod:`repro.translate.freezeml_to_f` to keep this
 module free of System F imports.  Payload types are emitted *un-zonked*;
-consumers apply ``result.subst`` once at the end (``derive``,
-``elaborate``), which resolves every embedded type in a single pass.
+consumers zonk them through ``result.solver`` once at the end
+(``derive``, ``elaborate``).
 
 Options (used by the paper's design discussions and our ablations):
 
@@ -84,11 +84,8 @@ class Elaborator:
 
     The default implementation produces ``None`` everywhere; the System F
     elaborator overrides each method.  Types handed to the hooks may
-    mention solved flexible variables; apply the run's final substitution
-    (``InferenceResult.subst``) to the finished payload to resolve them.
-    ``zonk(payload, subst)`` is the hook for doing so; the solver-backed
-    inferencer no longer calls it mid-run, but boundary consumers (and
-    compatibility users of the old protocol) still do.
+    mention solved flexible variables; zonk the finished payload through
+    the run's solver (``InferenceResult.solver.zonk``) to resolve them.
     """
 
     def frozen_var(self, name: str, ty: Type) -> Any:
@@ -121,25 +118,20 @@ class Elaborator:
         """Extra instantiation inserted by the eliminator strategy."""
         return None
 
-    def zonk(self, payload: Any, subst: Subst) -> Any:
-        return None
-
 
 class InferenceResult:
     """The outcome of a top-level inference run.
 
-    ``theta_env`` and ``subst`` are synthesised lazily from the solver
-    store on first access: most callers (``infer_type``, ``typecheck``)
-    only need ``ty``, and materialising the eager substitution for them
-    would undo part of the solver's win.
+    ``theta_env`` is synthesised lazily from the solver store on first
+    access: most callers (``infer_type``, ``typecheck``) only need
+    ``ty``.
     """
 
-    __slots__ = ("_solver", "_theta_env", "_subst", "ty", "payload", "supply")
+    __slots__ = ("_solver", "_theta_env", "ty", "payload", "supply")
 
     def __init__(self, solver: SolverState, ty: Type, payload: Any, supply):
         self._solver = solver
         self._theta_env: KindEnv | None = None
-        self._subst: Subst | None = None
         self.ty = ty
         self.payload = payload
         self.supply = supply
@@ -149,12 +141,6 @@ class InferenceResult:
         if self._theta_env is None:
             self._theta_env = self._solver.kind_env()
         return self._theta_env
-
-    @property
-    def subst(self) -> Subst:
-        if self._subst is None:
-            self._subst = self._solver.as_subst()
-        return self._subst
 
     @property
     def solver(self) -> SolverState:
@@ -495,8 +481,7 @@ def infer_raw(
 
     Checks well-scopedness (``Delta |> M``) and environment well-formedness
     first, as the paper's theorems require.  The returned type is fully
-    zonked; ``result.subst``/``result.theta_env`` are lazy views over the
-    solver store.
+    zonked; ``result.theta_env`` is a lazy view over the solver store.
 
     ``inferencer_factory`` substitutes an :class:`Inferencer` subclass (or
     any callable accepting the same options); ``repro.api`` uses it to

@@ -61,7 +61,6 @@ from .wellformed import (
     well_scoped,
 )
 from ..errors import (
-    FreezeMLError,
     KindError,
     MonomorphismError,
     OccursCheckError,
@@ -337,17 +336,3 @@ def reference_infer_type(
 
     _theta, _subst, ty = reference_infer_raw(term, env, delta, **options)
     return normalise_type(ty) if normalise else ty
-
-
-def reference_typecheck(
-    term: Term,
-    env: TypeEnv | None = None,
-    delta: KindEnv | None = None,
-    **options,
-) -> bool:
-    """Does the reference algorithm accept ``term``?"""
-    try:
-        reference_infer_raw(term, env, delta, **options)
-    except FreezeMLError:
-        return False
-    return True

@@ -343,10 +343,6 @@ class SolverState:
             if name in kinds:
                 kinds[name] = Kind.MONO
 
-    def flexible_names(self) -> tuple[str, ...]:
-        """The unsolved flexible variables, in declaration order."""
-        return tuple(self.kinds)
-
     # -- levels --------------------------------------------------------------
 
     def enter_level(self) -> None:

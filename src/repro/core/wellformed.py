@@ -113,15 +113,6 @@ def check_kind(env: KindEnv, ty: Type, kind: Kind) -> None:
         raise KindError(f"type `{ty}` has kind {actual}, expected {kind}")
 
 
-def is_well_kinded(env: KindEnv, ty: Type, kind: Kind = Kind.POLY) -> bool:
-    """Boolean form of :func:`check_kind`."""
-    try:
-        check_kind(env, ty, kind)
-    except KindError:
-        return False
-    return True
-
-
 def env_well_formed(kenv: KindEnv, tenv: TypeEnv) -> None:
     """The judgement ``Theta |- Gamma`` (Figure 12, Extend rule).
 

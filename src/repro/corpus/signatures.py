@@ -12,7 +12,6 @@ We add the arithmetic/boolean constants the examples use informally
 from __future__ import annotations
 
 from ..core.env import TypeEnv
-from ..core.types import Type
 from ..syntax.parser import parse_type
 
 _SIGNATURES: dict[str, str] = {
@@ -47,16 +46,6 @@ _SIGNATURES: dict[str, str] = {
     "not": "Bool -> Bool",
 }
 
-# Extra bindings used by individual examples (Figure 1 "where" clauses).
-_EXTRAS: dict[str, str] = {
-    "f_a9": "forall a. (a -> a) -> List a -> a",
-    "g_c8": "forall a. List a -> List a -> a",
-    "k_e": "forall a. a -> List a -> a",
-    "h_e": "Int -> forall a. a -> a",
-    "l_e": "List (forall a. Int -> a -> a)",
-    "r_e3": "(forall a. a -> forall b. b -> b) -> Int",
-}
-
 
 def signature_sources() -> dict[str, str]:
     """The prelude as (name -> surface type string), Figure 2 verbatim."""
@@ -77,8 +66,3 @@ def prelude_with(**extra: str) -> TypeEnv:
     for name, source in extra.items():
         env = env.extend(name, parse_type(source))
     return env
-
-
-def example_extras() -> dict[str, Type]:
-    """Bindings for the per-example 'where' clauses of Figure 1."""
-    return {name: parse_type(src) for name, src in _EXTRAS.items()}

@@ -62,14 +62,13 @@ guards the dispatch path at three depths:
   verdicts are environment-dependent, so they are *never* cached (and
   quarantined answers always report ``cached=False``).
 
-* **Fault injection.**  A :class:`FaultPlan` on the config (or the
-  ``REPRO_FAULT_PLAN`` environment variable) makes chosen request
-  ordinals crash, hang or raise inside worker processes -- the chaos
-  suite drives every recovery branch through it.  Faults are real
-  there: a crash is an ``os._exit``, a hang a sleep the deadline must
-  preempt.  The in-process path (``jobs=1``) has no worker to fault,
-  so a plan there is refused with :class:`ValueError` rather than
-  silently ignored.
+* **Faults come from programs.**  Dispatch has no fault-simulation
+  branch: a verdict is a function of (source, config), so any fault a
+  check causes belongs to one program.  The chaos suite raises real
+  faults from the test side -- an engine registered over ``freezeml``
+  whose worker-side ``infer`` exits, sleeps past the deadline or raises
+  on chosen programs (``tests/chaos_engine.py``) -- and the workers
+  receive it like any other parent-registered engine.
 
 >>> from repro.service import SessionConfig, TypecheckService
 >>> with TypecheckService(SessionConfig(), jobs=2) as service:
@@ -105,79 +104,13 @@ from .errors import (
 
 
 @dataclass(frozen=True, slots=True)
-class FaultPlan:
-    """Deterministic fault injection for tests and chaos drills.
-
-    ``crash``/``hang``/``raise_at`` name *dispatch ordinals* (the n-th
-    miss dispatched by the service since construction, counting from 0)
-    at which the worker kills itself, sleeps ``hang_seconds``, or raises
-    a :class:`FaultInjected`.  Each directive fires **once** per ordinal
-    unless ``persistent``; ``period`` folds ordinals modulo a cycle so a
-    benchmark can poison the same batch position round after round.
-
-    The plan travels inside :class:`SessionConfig` (picklable) and can
-    also be supplied via the ``REPRO_FAULT_PLAN`` environment variable,
-    e.g. ``REPRO_FAULT_PLAN="crash@1,hang@3,raise@5,persistent"``.  It
-    acts only in worker processes (``jobs >= 2``).  Fault injection
-    never contributes to cache keys: it perturbs the *serving* path,
-    not the verdict a program deserves.
-    """
-
-    crash: tuple[int, ...] = ()
-    hang: tuple[int, ...] = ()
-    raise_at: tuple[int, ...] = ()
-    persistent: bool = False
-    period: int | None = None
-    hang_seconds: float = 30.0
-
-    @staticmethod
-    def parse(spec: str) -> "FaultPlan":
-        """Parse ``"crash@1,hang@3,raise@5,persistent,period=12"``."""
-        crash: list[int] = []
-        hang: list[int] = []
-        raise_at: list[int] = []
-        persistent = False
-        period: int | None = None
-        hang_seconds = 30.0
-        for raw in spec.replace(";", ",").split(","):
-            item = raw.strip()
-            if not item:
-                continue
-            if item == "persistent":
-                persistent = True
-            elif item.startswith("period="):
-                period = int(item.removeprefix("period="))
-            elif item.startswith("hang_seconds="):
-                hang_seconds = float(item.removeprefix("hang_seconds="))
-            else:
-                kind, sep, ordinal = item.partition("@")
-                targets = {"crash": crash, "hang": hang, "raise": raise_at}.get(kind)
-                if not sep or targets is None:
-                    raise ValueError(f"bad fault directive: {item!r}")
-                targets.append(int(ordinal))
-        return FaultPlan(
-            crash=tuple(crash),
-            hang=tuple(hang),
-            raise_at=tuple(raise_at),
-            persistent=persistent,
-            period=period,
-            hang_seconds=hang_seconds,
-        )
-
-    @staticmethod
-    def from_env(var: str = "REPRO_FAULT_PLAN") -> "FaultPlan | None":
-        spec = os.environ.get(var, "").strip()
-        return FaultPlan.parse(spec) if spec else None
-
-
-@dataclass(frozen=True, slots=True)
 class SessionConfig:
     """Everything needed to rebuild an equivalent session: picklable,
     hashable, and JSON-ready.  ``engine`` is a registry *name* (never an
     instance) so configs travel to worker processes.  ``fuel`` and
     ``max_depth`` bound solver work deterministically (see
-    :class:`~repro.core.solver.Budget`); ``fault_plan`` injects serving
-    faults for tests and contributes to neither verdicts nor cache keys.
+    :class:`~repro.core.solver.Budget`).  Every field is part of the
+    cache key (see :meth:`key_bytes`).
     """
 
     engine: str = "freezeml"
@@ -190,7 +123,6 @@ class SessionConfig:
     #: fingerprint (a lint-on verdict must never answer a lint-off
     #: request, and vice versa).
     lint: bool = False
-    fault_plan: FaultPlan | None = None
 
     def build(self) -> Session:
         """A fresh prelude session with this configuration.  Raises
@@ -205,12 +137,10 @@ class SessionConfig:
 
     def key_bytes(self) -> bytes:
         """This config's part of every cache key: each field's ``str``
-        followed by a NUL, in declaration order.  A new field is keyed
-        unless it is named in :data:`_UNKEYED_FIELDS`."""
+        followed by a NUL, in declaration order, so a new field is keyed
+        too."""
         return b"".join(
-            str(getattr(self, f.name)).encode() + b"\x00"
-            for f in fields(self)
-            if f.name not in _UNKEYED_FIELDS
+            str(getattr(self, f.name)).encode() + b"\x00" for f in fields(self)
         )
 
     def to_dict(self) -> dict:
@@ -222,11 +152,6 @@ class SessionConfig:
             "max_depth": self.max_depth,
             "lint": self.lint,
         }
-
-
-#: :class:`SessionConfig` fields left out of cache keys.  A fault plan
-#: perturbs serving, never the verdict a program deserves.
-_UNKEYED_FIELDS = frozenset({"fault_plan"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,11 +254,6 @@ _WORKER_SESSION: Session | None = None
 _WORKER_LINT: bool = False
 
 
-class FaultInjected(RuntimeError):
-    """The exception a ``raise`` fault directive throws inside a worker
-    (picklable, so it crosses the pool boundary intact)."""
-
-
 def _init_worker(config: SessionConfig, engine) -> None:
     """Pool initializer: rebuild the session once per worker process.
 
@@ -363,25 +283,10 @@ def _init_worker(config: SessionConfig, engine) -> None:
     _WORKER_LINT = config.lint
 
 
-def _check_in_worker(
-    source: str, fault: str | None = None, hang_seconds: float = 30.0
-) -> tuple[Result, float]:
+def _check_in_worker(source: str) -> tuple[Result, float]:
     """Check one program in a worker; isolation via per-request fork,
-    exactly as the serial ``check_many`` does.
-
-    ``fault`` is a directive the parent resolved at submit time (workers
-    are stateless, so ordinals cannot be counted here): ``"crash"``
-    kills the process, ``"raise"`` throws, ``"hang"`` sleeps (bounded by
-    ``hang_seconds`` so an orphaned worker eventually exits) and then
-    checks normally -- the parent's deadline is what preempts it.
-    """
+    exactly as the serial ``check_many`` does."""
     assert _WORKER_SESSION is not None, "worker used before initialisation"
-    if fault == "crash":
-        os._exit(86)
-    elif fault == "raise":
-        raise FaultInjected("fault injection: raise")
-    elif fault == "hang":
-        time.sleep(hang_seconds)
     started = time.perf_counter()
     result = _WORKER_SESSION.fork().check(source, lint=_WORKER_LINT)
     return result, (time.perf_counter() - started) * 1000.0
@@ -406,13 +311,11 @@ def env_fingerprint(session: Session) -> str:
 
 @dataclass
 class _Job:
-    """One dispatched miss: its position in the miss list, its source,
-    the service-lifetime dispatch ordinal (fault-plan addressing) and
-    how many faults have been charged against it so far."""
+    """One dispatched miss: its position in the miss list, its source
+    and how many faults have been charged against it so far."""
 
     index: int
     source: str
-    ordinal: int
     attempts: int = field(default=0)
 
 
@@ -502,17 +405,6 @@ class TypecheckService:
         #: cache key -> degraded Result for sources that exhausted their
         #: retries; served without dispatch, always ``cached=False``.
         self._quarantine: dict[str, Result] = {}
-        self._fault_plan = (
-            self.config.fault_plan
-            if self.config.fault_plan is not None
-            else FaultPlan.from_env()
-        )
-        if self._fault_plan is not None and jobs == 1:
-            raise ValueError(
-                "a fault plan acts only in worker processes; use jobs >= 2"
-            )
-        self._faults_fired: set[tuple[str, int]] = set()
-        self._dispatched = 0  # lifetime dispatch ordinal (fault addressing)
         self._aborted = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -589,11 +481,10 @@ class TypecheckService:
         the echoed ``source`` field depend on the precise text, so even
         trailing-whitespace variants must not share a cached result (see
         the module docstring).  The budget contributes too -- a fuel
-        verdict is only valid for the limit that produced it.  The fault
-        plan does *not*: it perturbs serving, never the verdict.
+        verdict is only valid for the limit that produced it.
 
-        The key is the SHA-256 of the source, the keyed config fields
-        and the environment fingerprint, each followed by a NUL; all
+        The key is the SHA-256 of the source, the config's fields and
+        the environment fingerprint, each followed by a NUL; all
         but the source is built once per service."""
         return hashlib.sha256(source.encode() + self._key_suffix).hexdigest()
 
@@ -733,37 +624,12 @@ class TypecheckService:
         """Execute the deduplicated misses, preserving order."""
         if not sources:
             return []
-        jobs: list[_Job] = []
-        for index, source in enumerate(sources):
-            jobs.append(_Job(index, source, self._dispatched))
-            self._dispatched += 1
+        jobs = [_Job(index, source) for index, source in enumerate(sources)]
         if self.jobs == 1:
             outcomes = self._run_serial(jobs)
         else:
             outcomes = self._run_pooled(jobs)
         return [outcomes[index] for index in range(len(sources))]
-
-    def _fault_directive(self, job: _Job) -> str | None:
-        """The injected fault for this dispatch, if any.  Resolved in
-        the parent (workers are stateless) and consumed here: a
-        non-persistent directive fires once per raw ordinal."""
-        plan = self._fault_plan
-        if plan is None:
-            return None
-        ordinal = job.ordinal % plan.period if plan.period else job.ordinal
-        for kind, ordinals in (
-            ("crash", plan.crash),
-            ("hang", plan.hang),
-            ("raise", plan.raise_at),
-        ):
-            if ordinal in ordinals:
-                if plan.persistent:
-                    return kind
-                token = (kind, job.ordinal)
-                if token not in self._faults_fired:
-                    self._faults_fired.add(token)
-                    return kind
-        return None
 
     def _degraded(self, source: str, exc: ResilienceError) -> Result:
         """The structured FML9xx verdict a request degrades to."""
@@ -844,8 +710,6 @@ class TypecheckService:
         if self._aborted:
             self._abort_group(group, outcomes)
             return
-        plan = self._fault_plan
-        hang_seconds = plan.hang_seconds if plan is not None else 30.0
         submitted: list[tuple[_Job, object]] = []
         incident: str | None = None  # None | "timeout" | "crash"
         crash_set: list[_Job] = []
@@ -853,9 +717,8 @@ class TypecheckService:
 
         pool = self._ensure_pool()
         for position, job in enumerate(group):
-            fault = self._fault_directive(job)
             try:
-                future = pool.submit(_check_in_worker, job.source, fault, hang_seconds)
+                future = pool.submit(_check_in_worker, job.source)
             except BrokenProcessPool:
                 # The pool died while we were still submitting: what we
                 # did submit is ambiguous (crash set), the rest never ran
@@ -951,8 +814,6 @@ class TypecheckService:
 __all__ = [
     "CheckRequest",
     "CheckResponse",
-    "FaultInjected",
-    "FaultPlan",
     "ServiceStats",
     "SessionConfig",
     "TypecheckService",

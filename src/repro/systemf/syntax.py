@@ -172,10 +172,6 @@ def f_subterms(term: FTerm) -> Iterator[FTerm]:
         yield from f_subterms(term.fn)
 
 
-def fterm_size(term: FTerm) -> int:
-    return sum(1 for _ in f_subterms(term))
-
-
 # -- formatting ---------------------------------------------------------------
 
 _TOP = 0

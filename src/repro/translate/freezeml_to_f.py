@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..core.env import TypeEnv
 from ..core.infer import Elaborator, infer_raw
 from ..core.kinds import KindEnv
-from ..core.subst import Subst
 from ..core.terms import BoolLit, IntLit, StrLit, Term
 from ..core.types import Type
 from ..systemf.syntax import (
@@ -80,9 +79,6 @@ class SystemFElaborator(Elaborator):
     def inst(self, payload: FTerm, type_args: tuple[Type, ...]) -> FTerm:
         return ftyapps(payload, type_args)
 
-    def zonk(self, payload: FTerm, subst: Subst) -> FTerm:
-        return map_types(payload, subst.apply)
-
 
 class ElaborationResult:
     """An elaborated term with its type and residual flexible variables."""
@@ -112,5 +108,5 @@ def elaborate(
     output (e.g. the ``a`` in ``choose id : (a -> a) -> a -> a``).
     """
     result = infer_raw(term, env, delta, elaborator=SystemFElaborator(), **options)
-    fterm = map_types(result.payload, result.subst.apply)
+    fterm = map_types(result.payload, result.solver.zonk)
     return ElaborationResult(fterm, result.ty, result.theta_env)

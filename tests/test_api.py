@@ -5,14 +5,38 @@ structured Result, no FreezeMLError ever escapes, batch checks are
 isolated per program, and all four engines answer through one surface.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import ENGINES, Result, Session
+from repro.core.derivation import validate
 from repro.core.terms import Var
+from repro.core.types import alpha_equal
 from repro.corpus.examples import ALL_EXAMPLES, EXAMPLES
 from repro.diagnostics import Severity
 from repro.errors import FreezeMLError
 from repro.service import SessionConfig, TypecheckService
+from repro.systemf.typecheck import typecheck_f
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The value of ``main`` in every example file that ``check`` accepts.
+ACCEPTED_VALUES = {
+    "examples/ids_program.fml": "2",
+    "examples/lint_demo.fml": "0",
+    "examples/poly_id.fml": "(42, true)",
+    "examples/st.fml": "1",
+    "tests/golden/lint_programs/gen00.fml": "4",
+    "tests/golden/lint_programs/gen01.fml": "3",
+    "tests/golden/lint_programs/gen02.fml": "3",
+    "tests/golden/lint_programs/gen03.fml": "4",
+    "tests/golden/lint_programs/gen04.fml": "3",
+    "tests/golden/lint_programs/gen05.fml": "4",
+    "tests/golden/lint_programs/gen06.fml": "6",
+    "tests/golden/lint_programs/gen07.fml": "4",
+    "tests/golden/lint_programs/gen08.fml": "3",
+}
 
 
 class TestResults:
@@ -212,18 +236,22 @@ class TestRequests:
         assert "[App]" in result.rendered and "[Freeze]" in result.rendered
         assert result.value.rule == "App"
 
-    def test_run_program(self):
+    def test_evaluate_runs_a_program(self):
+        # Every request reads the program format: `evaluate` runs main,
+        # `infer` types the whole program.
         program = (
             "sig f : forall a. a -> a\n"
             "def f x = x\n"
             "main = (f 1) + 41\n"
         )
-        result = Session().run_program(program)
+        session = Session()
+        result = session.evaluate(program)
         assert result.ok
-        assert result.rendered == "42 : Int"
+        assert result.rendered == "42"
+        assert session.infer(program).type_str == "Int"
 
-    def test_run_program_reports_bad_program(self):
-        result = Session().run_program("def f = \n")
+    def test_evaluate_reports_a_bad_program(self):
+        result = Session().evaluate("def f = \n")
         (diag,) = result.diagnostics
         assert diag.code == "FML001"
 
@@ -231,6 +259,39 @@ class TestRequests:
         result = Session().evaluate("wibble")
         (diag,) = result.diagnostics
         assert diag.code == "FML300"
+
+
+class TestProgramsEverywhere:
+    """Every request reads what ``check`` reads, programs included."""
+
+    def test_the_accepted_files_are_pinned(self):
+        files = [
+            *ROOT.glob("examples/*.fml"),
+            *ROOT.glob("tests/golden/lint_programs/*.fml"),
+        ]
+        accepted = {
+            path.relative_to(ROOT).as_posix()
+            for path in files
+            if Session().check(path.read_text()).ok
+        }
+        assert accepted == set(ACCEPTED_VALUES)
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_VALUES))
+    def test_derive_elaborate_and_evaluate(self, name):
+        source = (ROOT / name).read_text()
+        session = Session()
+        checked = session.check(source)
+        derived = session.derive(source)
+        elaborated = session.elaborate(source)
+        assert derived.type_str == elaborated.type_str == checked.type_str
+        assert session.infer(source).type_str == checked.type_str
+        elab = elaborated.value
+        # Both requests run the same deterministic inference, so the
+        # elaboration's residual kinds are the derivation's too.
+        validate(derived.value, session.env, theta=elab.residual)  # Figure 7
+        f_type = typecheck_f(elab.fterm, session.env, elab.residual)
+        assert alpha_equal(f_type, elab.ty)  # Theorem 3
+        assert session.evaluate(source).rendered == ACCEPTED_VALUES[name]
 
 
 class TestBatch:

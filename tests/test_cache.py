@@ -20,7 +20,7 @@ import pytest
 
 from repro import Result, Session
 from repro.cache import PersistentCache, decode_result, encode_result
-from repro.service import FaultPlan, SessionConfig, TypecheckService
+from repro.service import SessionConfig, TypecheckService
 
 
 def fresh_results(*sources: str) -> list[Result]:
@@ -124,14 +124,11 @@ class TestPersistentCache:
             cache.put("k", result)
             assert len(cache) == 1
 
-    def test_volatile_verdicts_are_refused(self, tmp_path):
+    def test_volatile_verdicts_are_refused(self, tmp_path, chaos):
         # A crash verdict (FML911) from the recovery machinery: the
         # durable tier must refuse it no matter who calls put.
-        plan = FaultPlan(crash=(0,), persistent=True, period=1)
-        with TypecheckService(
-            SessionConfig(fault_plan=plan), jobs=2, max_retries=0, retry_backoff=0.0
-        ) as service:
-            degraded = service.check("poly ~id").result
+        with TypecheckService(jobs=2, max_retries=0, retry_backoff=0.0) as service:
+            degraded = service.check("let chaos_crash = 0 in poly ~id").result
         assert degraded.diagnostics[0].code == "FML911"
         with PersistentCache(tmp_path / "v.sqlite") as cache:
             assert not cache.put("k", degraded)
@@ -476,19 +473,17 @@ class TestServiceIntegration:
             assert warm_doc == cold_doc
 
     def test_volatile_fml91x_never_persisted_but_fuel_verdicts_are(
-        self, tmp_path
+        self, tmp_path, chaos
     ):
         path = tmp_path / "v.sqlite"
-        plan = FaultPlan(raise_at=(0,))
         with TypecheckService(
-            SessionConfig(fault_plan=plan),
             jobs=2,
             max_retries=0,
             retry_backoff=0.0,
             quarantine=False,
             persistent_cache=str(path),
         ) as service:
-            degraded = service.check("poly ~id").result
+            degraded = service.check("let chaos_raise = 0 in poly ~id").result
             assert degraded.diagnostics[0].code == "FML911"
             assert len(service.persistent_cache) == 0
         # The deterministic fuel verdict (FML901) IS persisted.

@@ -7,28 +7,33 @@ for every other; deterministic fuel verdicts are byte-identical between
 ``--jobs 1`` and ``--jobs 2`` (through ``repro check --json`` too);
 fuel verdicts are cached, wall-clock/crash verdicts never are.
 
-Faults are injected with :class:`~repro.service.FaultPlan` -- the same
-hook the chaos CI job drives -- and act in worker processes, so every
-recovery branch (preemption, pool rebuild, retry, bisection,
-quarantine, degradation) runs on a real fault without flaky sleeps:
-hang faults are bounded by ``hang_seconds`` and preempted at
-``timeout``, which the tests keep small.  A fault is a property of one
-program, so at the HTTP layer it must never degrade the answers other
-programs get.
+Faults come from programs: the ``chaos`` fixture registers
+:class:`chaos_engine.ChaosEngine` over ``freezeml`` -- the same engine
+the chaos CI jobs drive -- and a program whose outermost binder is
+``chaos_crash``/``chaos_hang``/``chaos_raise``/``chaos_crash_once``
+faults in the worker process that infers it, so every recovery branch
+(preemption, pool rebuild, retry, bisection, quarantine, degradation)
+runs on a real fault without flaky sleeps: hang faults are bounded by
+``hang_seconds`` and preempted at ``timeout``, which the tests keep
+small.  A fault is a property of one program, so at the HTTP layer it
+must never degrade the answers other programs get.
 """
 
 import json
 import sys
 
+import chaos_engine
 import pytest
 
+from repro.api import Session
 from repro.cli import run_check
+from repro.engines import FreezeMLEngine
 from repro.errors import (
     DETERMINISTIC_GUARD_CODES,
     VOLATILE_RESILIENCE_CODES,
     is_resilience_code,
 )
-from repro.service import FaultPlan, SessionConfig, TypecheckService
+from repro.service import SessionConfig, TypecheckService
 
 # Parses shallow (postfix application spine) but infers deep: one
 # interpreter recursion per application node, so small budgets trip on
@@ -56,6 +61,10 @@ def tight_recursion():
 
 OK_SOURCES = ["poly ~id", "let x = 1 in x", "42"]
 
+CRASH = "let chaos_crash = 0 in poly ~id"
+HANG = "let chaos_hang = 0 in poly ~id"
+RAISE = "let chaos_raise = 0 in poly ~id"
+
 
 def codes(response) -> list:
     return [diag.code for diag in response.result.diagnostics]
@@ -71,47 +80,21 @@ def payloads(responses) -> str:
     return json.dumps(out, sort_keys=True)
 
 
-class TestFaultPlan:
-    def test_parse_full_spec(self):
-        plan = FaultPlan.parse(
-            "crash@1,hang@3,raise@5,persistent,period=12,hang_seconds=2.5"
-        )
-        assert plan == FaultPlan(
-            crash=(1,),
-            hang=(3,),
-            raise_at=(5,),
-            persistent=True,
-            period=12,
-            hang_seconds=2.5,
-        )
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            FaultPlan.parse("explode@7")
-        with pytest.raises(ValueError):
-            FaultPlan.parse("crash")
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0")
-        assert FaultPlan.from_env() == FaultPlan(crash=(0,))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "")
-        assert FaultPlan.from_env() is None
-
-    def test_env_plan_reaches_the_service(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "raise@0,persistent")
-        with TypecheckService(jobs=2, max_retries=0, retry_backoff=0.0) as service:
-            assert service._fault_plan == FaultPlan(raise_at=(0,), persistent=True)
-            assert codes(service.check("poly ~id")) == ["FML911"]
-
-    def test_plan_without_workers_is_refused(self, monkeypatch):
+class TestChaosEngine:
+    def test_directive_without_workers_fails_its_test(self, chaos):
         # In-process there is no worker to fault: a drill at jobs=1
-        # must fail loudly rather than pass without running its faults.
-        plan = FaultPlan(crash=(0,))
-        with pytest.raises(ValueError, match="jobs >= 2"):
-            TypecheckService(SessionConfig(fault_plan=plan))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0")
-        with pytest.raises(ValueError, match="jobs >= 2"):
-            TypecheckService(jobs=1)
+        # must fail loudly rather than kill the test run.
+        with TypecheckService(jobs=1) as service:
+            with pytest.raises(AssertionError, match="jobs >= 2"):
+                service.check(CRASH)
+
+    def test_other_programs_are_inferred_as_usual(self, chaos):
+        stock = Session(engine=FreezeMLEngine())
+        with TypecheckService(jobs=2) as service:
+            responses = service.check_many(OK_SOURCES)
+        for source, response in zip(OK_SOURCES, responses):
+            expected = stock.check(source).entry_json("", False)
+            assert response.result.entry_json("", False) == expected
 
 
 class TestDeterministicFuel:
@@ -160,114 +143,92 @@ class TestDeterministicFuel:
 
 
 class TestCrashRecovery:
-    def test_one_crash_recovers_everyone(self):
+    def test_one_crash_recovers_everyone(self, chaos):
         # A single (transient) crash: the batch still answers every
         # request correctly -- the pool is rebuilt and survivors retried.
-        plan = FaultPlan(crash=(1,))
-        config = SessionConfig(fault_plan=plan)
-        with TypecheckService(config, jobs=2, retry_backoff=0.0) as service:
-            responses = service.check_many(OK_SOURCES)
+        batch = ["poly ~id", "let chaos_crash_once = 0 in 1", "42"]
+        with TypecheckService(jobs=2, retry_backoff=0.0) as service:
+            responses = service.check_many(batch)
             assert [r.ok for r in responses] == [True, True, True]
             assert service.stats.crashes >= 1
 
-    def test_persistent_crash_degrades_only_the_culprit(self):
-        plan = FaultPlan(crash=(0,), persistent=True)
-        config = SessionConfig(fault_plan=plan)
-        with TypecheckService(
-            config, jobs=2, max_retries=1, retry_backoff=0.0
-        ) as service:
-            responses = service.check_many(OK_SOURCES)
+    def test_persistent_crash_degrades_only_the_culprit(self, chaos):
+        with TypecheckService(jobs=2, max_retries=1, retry_backoff=0.0) as service:
+            responses = service.check_many([CRASH, *OK_SOURCES[1:]])
             assert codes(responses[0]) == ["FML911"]
             assert [r.ok for r in responses] == [False, True, True]
             assert service.stats.quarantined == 1
 
-    def test_worker_raise_degrades_with_the_exception_text(self):
-        plan = FaultPlan(raise_at=(0,), persistent=True)
-        config = SessionConfig(fault_plan=plan)
-        with TypecheckService(
-            config, jobs=2, max_retries=0, retry_backoff=0.0
-        ) as service:
-            response = service.check("poly ~id")
+    def test_worker_raise_degrades_with_the_exception_text(self, chaos):
+        with TypecheckService(jobs=2, max_retries=0, retry_backoff=0.0) as service:
+            response = service.check(RAISE)
             assert codes(response) == ["FML911"]
             message = response.result.diagnostics[0].message
-            assert message == "worker raised FaultInjected: fault injection: raise"
+            assert message == "worker raised RuntimeError: chaos: raise"
 
-    def test_quarantine_serves_without_redispatch(self):
-        plan = FaultPlan(crash=(0,), persistent=True)
-        config = SessionConfig(fault_plan=plan)
-        with TypecheckService(
-            config, jobs=2, max_retries=0, retry_backoff=0.0
-        ) as service:
-            first = service.check("poly ~id")
-            dispatched = service._dispatched
-            again = service.check("poly ~id")
-            assert service._dispatched == dispatched  # no new dispatch
+    def test_quarantine_serves_without_redispatch(self, chaos):
+        with TypecheckService(jobs=2, max_retries=0, retry_backoff=0.0) as service:
+            first = service.check(CRASH)
+            misses, crashes = service.stats.misses, service.stats.crashes
+            again = service.check(CRASH)
+            # No new dispatch: nothing missed, no worker crashed again.
+            assert (service.stats.misses, service.stats.crashes) == (misses, crashes)
             assert codes(again) == codes(first) == ["FML911"]
             assert again.cached is False  # quarantine is not the cache
 
-    def test_crash_verdict_is_never_cached(self):
-        # period=1 folds every dispatch ordinal to 0, so the re-dispatch
-        # of the (uncached, unquarantined) source crashes again too.
-        plan = FaultPlan(crash=(0,), persistent=True, period=1)
-        config = SessionConfig(fault_plan=plan)
+    def test_crash_verdict_is_never_cached(self, chaos):
+        # The re-dispatch of the (uncached, unquarantined) source
+        # crashes its worker again too.
         with TypecheckService(
-            config, jobs=2, max_retries=0, retry_backoff=0.0, quarantine=False
+            jobs=2, max_retries=0, retry_backoff=0.0, quarantine=False
         ) as service:
-            first = service.check("poly ~id")
-            second = service.check("poly ~id")  # re-dispatched, re-degraded
+            first = service.check(CRASH)
+            second = service.check(CRASH)  # re-dispatched, re-degraded
             assert codes(first) == codes(second) == ["FML911"]
             assert (first.cached, second.cached) == (False, False)
-            assert service.cache_key("poly ~id") not in service._cache
+            assert service.cache_key(CRASH) not in service._cache
 
 
 class TestDeadlines:
-    def test_hang_is_preempted_to_fml910(self):
-        plan = FaultPlan(hang=(0,), persistent=True, hang_seconds=3.0)
-        config = SessionConfig(fault_plan=plan)
+    def test_hang_is_preempted_to_fml910(self, chaos):
         with TypecheckService(
-            config, jobs=2, timeout=0.5, max_retries=0, retry_backoff=0.0
+            jobs=2, timeout=0.5, max_retries=0, retry_backoff=0.0
         ) as service:
-            responses = service.check_many(OK_SOURCES)
+            responses = service.check_many([HANG, *OK_SOURCES[1:]])
             assert codes(responses[0]) == ["FML910"]
             assert "0.5s deadline" in responses[0].result.diagnostics[0].message
             assert [r.ok for r in responses] == [False, True, True]
             assert service.stats.timeouts >= 1
 
-    def test_timeout_verdict_is_never_cached(self):
-        plan = FaultPlan(hang=(0,), persistent=True, period=1, hang_seconds=3.0)
-        config = SessionConfig(fault_plan=plan)
+    def test_timeout_verdict_is_never_cached(self, chaos):
         with TypecheckService(
-            config,
             jobs=2,
             timeout=0.5,
             max_retries=0,
             retry_backoff=0.0,
             quarantine=False,
         ) as service:
-            first = service.check("poly ~id")
-            second = service.check("poly ~id")
+            first = service.check(HANG)
+            second = service.check(HANG)
             assert codes(first) == codes(second) == ["FML910"]
             assert (first.cached, second.cached) == (False, False)
-            assert service.cache_key("poly ~id") not in service._cache
+            assert service.cache_key(HANG) not in service._cache
 
 
 class TestAcceptance:
     """The end-to-end bar: one batch with every kind of fault."""
 
     BATCH = [
-        "poly ~id",  # ordinal 0: fine
-        "let x = 1 in x",  # ordinal 1: crash (persistent)
-        DEEP_SPINE,  # ordinal 2: fuel exhaustion (deterministic)
-        "42",  # ordinal 3: hang (persistent)
-        "auto id",  # ordinal 4: worker raise (persistent)
-        "bad (",  # ordinal 5: ordinary parse error
+        "poly ~id",  # fine
+        "let chaos_crash = 0 in let x = 1 in x",  # worker exits
+        DEEP_SPINE,  # fuel exhaustion (deterministic)
+        "let chaos_hang = 0 in 42",  # worker sleeps past the deadline
+        "let chaos_raise = 0 in auto id",  # worker raises
+        "bad (",  # ordinary parse error
     ]
-    PLAN = FaultPlan(
-        crash=(1,), hang=(3,), raise_at=(4,), persistent=True, hang_seconds=3.0
-    )
 
-    def test_mixed_fault_batch_completes_with_exact_verdicts(self):
-        config = SessionConfig(fuel=100, fault_plan=self.PLAN)
+    def test_mixed_fault_batch_completes_with_exact_verdicts(self, chaos):
+        config = SessionConfig(fuel=100)
         with TypecheckService(
             config, jobs=2, timeout=0.5, max_retries=1, retry_backoff=0.0
         ) as service:
@@ -357,19 +318,18 @@ class TestServeFaultIsolation:
             _, health = get(handle.url, "/healthz")
             assert health["status"] == "ok"
 
-    def test_quarantined_worker_crash_leaves_the_class_serving(self):
+    def test_quarantined_worker_crash_leaves_the_class_serving(self, chaos):
         from repro.server import ServerThread
         from test_server import get, post_check
 
-        plan = FaultPlan(crash=(0,), persistent=True)
         with ServerThread(
-            config=SessionConfig(fault_plan=plan),
+            config=SessionConfig(),
             jobs=2,
             max_retries=0,
             retry_backoff=0.0,
         ) as handle:
             for _ in range(6):  # a real crash, then quarantine replays
-                status, body = post_check(handle.url, {"source": "1 + 2"})
+                status, body = post_check(handle.url, {"source": CRASH})
                 assert status == 200
                 assert json.loads(body)["diagnostics"][0]["code"] == "FML911"
             status, body = post_check(handle.url, {"source": "poly ~id"})
@@ -380,7 +340,7 @@ class TestServeFaultIsolation:
             klass = stats["classes"]["default"]
             assert klass["quarantined"] == 1 and klass["crashes"] >= 1
 
-    def test_worker_crash_does_not_stop_the_server_process(self):
+    def test_worker_crash_does_not_stop_the_server_process(self, tmp_path):
         # Forked workers inherit the server's signal wiring.  The pool
         # torn down after a crash sends its workers SIGTERM, which must
         # not reach the server's loop as a shutdown of its own.
@@ -392,21 +352,23 @@ class TestServeFaultIsolation:
         from test_server import get, post_check
 
         process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--jobs", "2", "--timeout", "0.5", "--no-persist",
-            ],
+            chaos_engine.command(
+                tmp_path,
+                ["serve", "--port", "0", "--jobs", "2", "--timeout", "0.5",
+                 "--no-persist"],
+            ),
             stdout=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": "src", "REPRO_FAULT_PLAN": "crash@0"},
+            env={**os.environ, "PYTHONPATH": "src:tests"},
             cwd=Path(__file__).resolve().parent.parent,
         )
         try:
             banner = process.stdout.readline()
             assert "listening on http://" in banner
             url = banner.split("listening on ")[1].split()[0]
-            # crash@0 fires once: the retry on a fresh pool answers.
-            status, body = post_check(url, {"source": "1 + 2"})
+            # The first dispatch crashes; the retry on a fresh pool answers.
+            source = "let chaos_crash_once = 0 in 1 + 2"
+            status, body = post_check(url, {"source": source})
             assert status == 200 and json.loads(body)["ok"] is True
             status, body = post_check(url, {"source": "poly ~id"})
             assert status == 200 and json.loads(body)["ok"] is True

@@ -62,8 +62,9 @@ class TestLambdas:
     def test_lambda_kind_env_discharged(self):
         # the parameter's flexible variable must not leak into the subst
         result = infer_raw(e("fun x -> x"), PRELUDE)
-        assert result.subst.is_identity() or all(
-            name not in result.subst for name in result.theta_env.names()
+        subst = result.solver.as_subst()
+        assert subst.is_identity() or all(
+            name not in subst for name in result.theta_env.names()
         )
 
     def test_nested_lambdas(self):

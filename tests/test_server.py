@@ -359,6 +359,26 @@ class TestHTTPEndpoints:
             "engine": "freezeml",
         }
 
+    def test_reads_stay_below_the_malloc_mmap_threshold(self, handle):
+        # A read buffer above glibc's 128 KiB mmap threshold is mapped
+        # and unmapped on every read of a keep-alive connection.
+        import http.client
+
+        conn = http.client.HTTPConnection(
+            handle.server.host, handle.server.port, timeout=60
+        )
+        try:
+            conn.request("POST", "/check", body=json.dumps({"source": "1"}))
+            assert conn.getresponse().read()
+
+            async def read_sizes():
+                return [w.transport.max_size for w in handle.server._idle]
+
+            sizes = handle.run_on_loop(read_sizes)
+        finally:
+            conn.close()
+        assert sizes and all(size <= 64 * 1024 for size in sizes)
+
     def test_single_check(self, handle):
         status, body = post_check(handle.url, {"source": "poly ~id"})
         assert status == 200
@@ -636,36 +656,31 @@ class TestDrain:
             _, stats = get(handle.url, "/stats")
             assert stats["status"] == "draining"
 
-    def test_sigterm_drains_in_flight_work_then_exits_zero(self):
+    def test_sigterm_drains_in_flight_work_then_exits_zero(self, tmp_path):
         # The drill the acceptance criteria name: a request is on the
         # workers when SIGTERM lands; the server must answer it (200),
         # refuse late arrivals (503), and exit 0.
         import os
         import signal
         import subprocess
-        import sys
 
-        env = {
-            **os.environ,
-            "PYTHONPATH": "src",
-            # First dispatch hangs ~3s in its worker, then completes:
-            # a deterministic in-flight window for the TERM to land in.
-            "REPRO_FAULT_PLAN": "hang@0,hang_seconds=3",
-        }
+        import chaos_engine
+
+        env = {**os.environ, "PYTHONPATH": "src:tests"}
         process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--port",
-                "0",
-                "--jobs",
-                "2",
-                "--no-persist",
-                "--drain-timeout",
-                "30",
-            ],
+            chaos_engine.command(
+                tmp_path,
+                [
+                    "serve",
+                    "--port",
+                    "0",
+                    "--jobs",
+                    "2",
+                    "--no-persist",
+                    "--drain-timeout",
+                    "30",
+                ],
+            ),
             stdout=subprocess.PIPE,
             text=True,
             env=env,
@@ -679,7 +694,10 @@ class TestDrain:
             inflight: dict = {}
 
             def slow_check():
-                inflight["response"] = post_check(url, {"source": "poly ~id"})
+                # The worker sleeps ~3s, then answers: a deterministic
+                # in-flight window for the TERM to land in.
+                source = "let chaos_hang = 0 in poly ~id"
+                inflight["response"] = post_check(url, {"source": source})
 
             worker = threading.Thread(target=slow_check)
             worker.start()

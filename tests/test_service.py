@@ -15,7 +15,6 @@ from repro.corpus.examples import EXAMPLES
 from repro.service import (
     CheckRequest,
     CheckResponse,
-    FaultPlan,
     SessionConfig,
     TypecheckService,
     env_fingerprint,
@@ -120,12 +119,6 @@ class TestCacheKey:
         assert other.cache_key("let f = fun x -> x in f 1\n") == (
             "765a748d854e361aae6c3e15409d9fda0942edadb9d4855bb3d88eb6dd8a7f11"
         )
-
-    def test_fault_plan_never_reaches_the_key(self):
-        # A fault plan perturbs serving, never the verdict: a drill's
-        # service must agree with a clean one on every key.
-        faulty = SessionConfig(fault_plan=FaultPlan(crash=(0,)))
-        assert faulty.key_bytes() == SessionConfig().key_bytes()
 
     @pytest.mark.parametrize("first", ["base", "flipped"])
     @pytest.mark.parametrize("field", sorted(WITNESSES))
