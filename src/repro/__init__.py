@@ -53,98 +53,82 @@ The main entry points:
 * :func:`prelude` -- the Figure 2 type environment.
 * :mod:`repro.translate` -- type-preserving translations to/from System F.
 * :mod:`repro.semantics` -- a CBV evaluator and runtime prelude.
+
+Loading
+-------
+
+``import repro`` loads nothing but this module, and ``repro.Session()``
+loads only what a check runs: the lexer and parser, the core solver and
+inferencer, the ``freezeml`` engine, diagnostics and the Figure 2
+prelude.  Every other tier loads on first use: the names below resolve
+through a PEP 562 ``__getattr__`` over :data:`_EXPORTS`, the
+``hmf``/``ml``/``systemf`` engines on their first
+:func:`~repro.engines.get_engine`, derivations, System F elaboration
+and evaluation on the first ``Session.derive``/``elaborate``/
+``evaluate``, the worker pool on the first pooled batch, and the SQLite
+tier when a persistent cache is configured.  So an editor or a
+pre-commit hook that runs ``repro check FILE`` pays for the checking
+core alone, and a request that needs another tier loads it itself.
 """
 
-from .analysis import LintContext, LintPass, all_passes, run_lint
-from .api import ENGINES, Result, Session
-from .cache import PersistentCache
-from .core.check import typeable
-from .engines import Engine, get_engine, register_engine, unregister_engine
-from .service import (
-    CheckRequest,
-    CheckResponse,
-    ServiceStats,
-    SessionConfig,
-    TypecheckService,
-)
-from .core.solver import Budget
-from .core.env import TypeEnv
-from .core.infer import (
-    infer_definition,
-    infer_raw,
-    infer_type,
-    normalise_type,
-    typecheck,
-)
-from .core.kinds import Kind, KindEnv
-from .core.subst import Subst
-from .core import terms
-from .core import types
-from .corpus.signatures import prelude, prelude_with
-from .diagnostics import Diagnostic, Severity, Span, diagnostic_from_error
-from .errors import (
-    BudgetExceededError,
-    FreezeMLError,
-    LoadShedError,
-    ResilienceError,
-    TypeInferenceError,
-    UnificationError,
-    is_resilience_code,
-    is_warning_code,
-)
-from .syntax.parser import parse_term, parse_type
-from .syntax.pretty import pretty_term, pretty_type
+from ._lazy import lazy_getattr
 
 #: single source of truth for the package version (setup.py reads it).
 __version__ = "1.6.0"
 
-__all__ = [
-    "ENGINES",
-    "Budget",
-    "BudgetExceededError",
-    "CheckRequest",
-    "CheckResponse",
-    "Diagnostic",
-    "Engine",
-    "FreezeMLError",
-    "LoadShedError",
-    "PersistentCache",
-    "ResilienceError",
-    "Kind",
-    "KindEnv",
-    "LintContext",
-    "LintPass",
-    "Result",
-    "ServiceStats",
-    "Session",
-    "SessionConfig",
-    "Severity",
-    "Span",
-    "Subst",
-    "TypeEnv",
-    "TypecheckService",
-    "TypeInferenceError",
-    "UnificationError",
-    "all_passes",
-    "diagnostic_from_error",
-    "get_engine",
-    "register_engine",
-    "unregister_engine",
-    "infer_definition",
-    "infer_raw",
-    "is_resilience_code",
-    "is_warning_code",
-    "infer_type",
-    "normalise_type",
-    "parse_term",
-    "parse_type",
-    "prelude",
-    "prelude_with",
-    "pretty_term",
-    "pretty_type",
-    "run_lint",
-    "terms",
-    "typeable",
-    "typecheck",
-    "types",
-]
+#: Exported name -> the module (relative to this package) defining it;
+#: ``terms`` and ``types`` are the modules themselves.
+_EXPORTS = {
+    "ENGINES": ".api",
+    "Result": ".api",
+    "Session": ".api",
+    "Budget": ".core.solver",
+    "TypeEnv": ".core.env",
+    "Kind": ".core.kinds",
+    "KindEnv": ".core.kinds",
+    "Subst": ".core.subst",
+    "typeable": ".core.check",
+    "infer_definition": ".core.infer",
+    "infer_raw": ".core.infer",
+    "infer_type": ".core.infer",
+    "normalise_type": ".core.infer",
+    "typecheck": ".core.infer",
+    "terms": ".core.terms",
+    "types": ".core.types",
+    "prelude": ".corpus.signatures",
+    "prelude_with": ".corpus.signatures",
+    "Diagnostic": ".diagnostics",
+    "Severity": ".diagnostics",
+    "Span": ".diagnostics",
+    "diagnostic_from_error": ".diagnostics",
+    "Engine": ".engines",
+    "get_engine": ".engines",
+    "register_engine": ".engines",
+    "unregister_engine": ".engines",
+    "BudgetExceededError": ".errors",
+    "FreezeMLError": ".errors",
+    "LoadShedError": ".errors",
+    "ResilienceError": ".errors",
+    "TypeInferenceError": ".errors",
+    "UnificationError": ".errors",
+    "is_resilience_code": ".errors",
+    "is_warning_code": ".errors",
+    "parse_term": ".syntax.parser",
+    "parse_type": ".syntax.parser",
+    "pretty_term": ".syntax.pretty",
+    "pretty_type": ".syntax.pretty",
+    "CheckRequest": ".service",
+    "CheckResponse": ".service",
+    "ServiceStats": ".service",
+    "SessionConfig": ".service",
+    "TypecheckService": ".service",
+    "PersistentCache": ".cache",
+    "LintContext": ".analysis",
+    "LintPass": ".analysis",
+    "all_passes": ".analysis",
+    "run_lint": ".analysis",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

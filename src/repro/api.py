@@ -51,7 +51,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .core.derivation import derive as _derive
 from .core.env import TypeEnv
 from .core.infer import ELIMINATOR, VARIABLE, normalise_type
 from .core.kinds import Kind, KindEnv
@@ -69,11 +68,10 @@ from .extensions.toplevel import (
     parse_program_spanned,
 )
 from .names import display_names
-from .semantics import eval_freezeml, value_prelude
+from .semantics.prelude import value_prelude
 from .semantics.values import show_value
 from .syntax.parser import SpanTable, parse_term_spanned
 from .syntax.pretty import pretty_type
-from .translate import elaborate as _elaborate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .analysis.inference import InstrumentedRun
@@ -502,6 +500,8 @@ class Session:
         non-generalisable definition become rigid session variables (see
         :meth:`_fix_residual_vars`).
         """
+        from .semantics.eval import eval_freezeml
+
         impl = self._resolve_engine(engine)
         text = source if isinstance(source, str) else str(source)
         try:
@@ -529,10 +529,12 @@ class Session:
     def elaborate(self, source: str | Term) -> Result:
         """Elaborate to System F (Figure 11); payload is the
         :class:`~repro.translate.freezeml_to_f.ElaborationResult`."""
+        from .translate.freezeml_to_f import elaborate
+
         text = source if isinstance(source, str) else str(source)
         try:
             term, _spans = self._parse(source)
-            elab = _elaborate(
+            elab = elaborate(
                 term,
                 self.env,
                 self.delta,
@@ -557,10 +559,12 @@ class Session:
     def derive(self, source: str | Term) -> Result:
         """Build the full Figure 7 typing derivation; payload is the
         :class:`~repro.core.derivation.Derivation` tree."""
+        from .core.derivation import derive
+
         text = source if isinstance(source, str) else str(source)
         try:
             term, _spans = self._parse(source)
-            deriv, _theta = _derive(
+            deriv, _theta = derive(
                 term,
                 self.env,
                 self.delta,
@@ -584,6 +588,8 @@ class Session:
 
     def evaluate(self, source: str | Term) -> Result:
         """Evaluate under the CBV semantics (type erasure)."""
+        from .semantics.eval import eval_freezeml
+
         text = source if isinstance(source, str) else str(source)
         try:
             term, _spans = self._parse(source)

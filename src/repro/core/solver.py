@@ -165,7 +165,6 @@ class SolverState:
         "rigid_levels",
         "level",
         "_clean",
-        "_zonk_memo",
         "fuel",
         "fuel_limit",
         "max_depth",
@@ -203,15 +202,10 @@ class SolverState:
         # Names whose store entry is fully zonked w.r.t. the current
         # store; invalidated wholesale on every new binding.
         self._clean: set[str] = set()
-        # Global zonk memo: input node -> fully zonked form, valid until
-        # the next binding.  With interned nodes the same environment
-        # type is the same object everywhere, so repeated zonks of a hot
-        # environment are one dict hit after the first.
-        self._zonk_memo: dict[Type, Type] = {}
 
     def copy(self) -> "SolverState":
         """An independent snapshot of this state: store, kinds, levels,
-        rigid stamps, zonk memo and the budget counters.  Continuing the
+        rigid stamps, clean set and the budget counters.  Continuing the
         copy is exactly continuing this run from here."""
         new = SolverState.__new__(SolverState)
         new.kinds = dict(self.kinds)
@@ -220,7 +214,6 @@ class SolverState:
         new.rigid_levels = dict(self.rigid_levels)
         new.level = self.level
         new._clean = set(self._clean)
-        new._zonk_memo = dict(self._zonk_memo)
         new.fuel = self.fuel
         new.fuel_limit = self.fuel_limit
         new.max_depth = self.max_depth
@@ -446,8 +439,8 @@ class SolverState:
 
         The raw primitive under :meth:`_bind`; also used by clients that
         layer their own binding discipline (e.g. the ML baseline).
-        Propagates levels through the image and invalidates the zonk
-        memo.
+        Propagates levels through the image and invalidates the clean
+        set.
         """
         free = ftv_set(image)
         if free:
@@ -458,7 +451,6 @@ class SolverState:
         self.store[name] = image
         self._clean.clear()
         self._clean.add(name)
-        self._zonk_memo.clear()
 
     def prune(self, ty: Type) -> Type:
         """Chase bindings at the head of ``ty``, with path compression.
@@ -492,9 +484,7 @@ class SolverState:
         but the store is a plain dict and defensive callers -- and the
         tests -- can create cycles directly).  Fully-resolved store
         entries are written back into the store, so repeated zonks are
-        amortised O(1) per solved variable between bindings -- and a
-        whole-node memo (``_zonk_memo``, invalidated with ``_clean``)
-        makes a *repeated* zonk of the same interned node one dict hit.
+        amortised O(1) per solved variable between bindings.
 
         Iterative (explicit work stack): zonking never consumes Python
         stack proportional to type depth, so pathological towers are
@@ -514,13 +504,7 @@ class SolverState:
             free = ty._ftv
             if free is not None and store.keys().isdisjoint(free):
                 return ty
-        memo = self._zonk_memo
-        hit = memo.get(ty)
-        if hit is not None:
-            return hit
-        result = self._zonk_walk(ty)
-        memo[ty] = result
-        return result
+        return self._zonk_walk(ty)
 
     def _zonk_walk(self, ty: Type) -> Type:
         store = self.store
@@ -780,11 +764,10 @@ class SolverState:
                 # short-circuits under binder maps read that cache.
                 ftv_set(solved)
                 if fuelled:
-                    # The bind emptied the zonk memos, and a zonk spends
-                    # a step per store entry it re-resolves: drop them
+                    # The bind emptied the clean set, and a zonk spends
+                    # a step per store entry it re-resolves: drop it
                     # here too, so later zonks spend what they did.
                     self._clean.clear()
-                    self._zonk_memo.clear()
                 return solved
         self.declare(result, Kind.POLY)
         self.unify(delta, fn_ty, arrow(arg_ty, TVar(result)), supply)

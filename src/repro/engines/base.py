@@ -34,6 +34,7 @@ example by a plugin, or by a test) appear in it immediately.
 from __future__ import annotations
 
 import abc
+from importlib import import_module
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from ..core.infer import VARIABLE
@@ -121,7 +122,9 @@ class Engine(abc.ABC):
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Engine] = {}
+#: Engine name -> instance, or the ``module:Class`` path of a built-in
+#: that is not imported yet (see :func:`get_engine`).
+_REGISTRY: dict[str, Engine | str] = {}
 
 
 def register_engine(engine: Engine | type[Engine], *, replace: bool = False) -> Engine:
@@ -145,6 +148,13 @@ def register_engine(engine: Engine | type[Engine], *, replace: bool = False) -> 
     return instance
 
 
+def register_builtin(name: str, path: str) -> None:
+    """Register a built-in by the ``module:Class`` path of its zero-
+    argument class; it keeps its place in :data:`ENGINES` but is
+    imported and instantiated on its first :func:`get_engine`."""
+    _REGISTRY[name] = path
+
+
 def unregister_engine(name: str) -> None:
     """Remove a registered engine (tests and plugins clean up with this)."""
     try:
@@ -162,11 +172,16 @@ def get_engine(engine: str | Engine) -> Engine:
     if isinstance(engine, Engine):
         return engine
     try:
-        return _REGISTRY[engine]
+        found = _REGISTRY[engine]
     except KeyError:
         raise ValueError(
             f"unknown engine {engine!r} (one of {tuple(_REGISTRY)})"
         ) from None
+    if isinstance(found, str):
+        # A built-in's first lookup imports its module.
+        module, _, cls = found.partition(":")
+        found = _REGISTRY[engine] = getattr(import_module(module), cls)()
+    return found
 
 
 def engine_names() -> tuple[str, ...]:

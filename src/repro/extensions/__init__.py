@@ -1,9 +1,25 @@
-"""Optional extensions discussed in the paper (Sections 3.2 and 6)."""
+"""Optional extensions discussed in the paper (Sections 3.2 and 6).
 
-from .pervasive import FreezeTerm, PervasiveInferencer, infer_type_pervasive
-from .strategies import infer_with_strategy, STRATEGIES
-from .type_application import TyApp, TypeApplicationInferencer, infer_type_vta
-from .toplevel import Definition, desugar_program, parse_program, infer_program
+The top-level program format loads with the package (every check of a
+``sig``/``def``/``main`` program reads it); the other extensions on
+first access."""
+
+from .._lazy import lazy_getattr
+from .toplevel import Definition, desugar_program, infer_program, parse_program
+
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        "FreezeTerm": ".pervasive",
+        "PervasiveInferencer": ".pervasive",
+        "infer_type_pervasive": ".pervasive",
+        "STRATEGIES": ".strategies",
+        "infer_with_strategy": ".strategies",
+        "TyApp": ".type_application",
+        "TypeApplicationInferencer": ".type_application",
+        "infer_type_vta": ".type_application",
+    },
+)
 
 __all__ = [
     "Definition",

@@ -103,6 +103,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import ClassVar
 
+from . import __version__
 from .api import Result, check_document_json
 from .cache import PersistentCache, default_cache_path
 from .diagnostics import Span, diagnostic_from_error
@@ -382,8 +383,6 @@ class ReproServer:
     # -- endpoints ----------------------------------------------------------
 
     def _healthz(self) -> dict:
-        from . import __version__  # deferred: the package may import us
-
         return {
             "status": "draining" if self.draining else "ok",
             "version": __version__,
@@ -391,8 +390,6 @@ class ReproServer:
         }
 
     def _stats(self) -> dict:
-        from . import __version__  # deferred: the package may import us
-
         cache_stats: dict = {"persistent": self.persistent_cache is not None}
         if self.persistent_cache is not None:
             cache_stats.update(

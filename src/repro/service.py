@@ -83,14 +83,10 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .api import Result, Session
-from .cache import PersistentCache
 from .core.infer import VARIABLE
 from .core.types import format_type
 from .diagnostics import Span, diagnostic_from_error
@@ -101,6 +97,11 @@ from .errors import (
     VOLATILE_RESILIENCE_CODES,
     WorkerCrashError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .cache import PersistentCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,11 +269,15 @@ def _init_worker(config: SessionConfig, engine) -> None:
     forward a SIGTERM sent to this worker (a pool torn down after a
     crash or a deadline) to the server as its own shutdown signal, and
     a no-op SIGTERM handler that would keep the worker alive.  So the
-    worker drops both.
+    worker drops both, and only then unblocks SIGTERM, which the
+    dispatch thread blocked before forking it (see
+    :meth:`TypecheckService._run_group`): a SIGTERM that arrived in
+    between is delivered now, and ends the worker.
     """
     global _WORKER_SESSION, _WORKER_LINT
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _WORKER_SESSION = Session(
         engine=engine,
         strategy=config.strategy,
@@ -393,14 +398,13 @@ class TypecheckService:
             + b"\x00"
         )
         self._cache: dict[str, Result] = {}
-        self._owns_persistent = persistent_cache is not None and not isinstance(
-            persistent_cache, PersistentCache
-        )
-        self.persistent_cache = (
-            PersistentCache(persistent_cache)
-            if self._owns_persistent
-            else persistent_cache
-        )
+        # A path opens (and owns) the SQLite tier; only then is it loaded.
+        self._owns_persistent = isinstance(persistent_cache, (str, os.PathLike))
+        if self._owns_persistent:
+            from .cache import PersistentCache
+
+            persistent_cache = PersistentCache(persistent_cache)
+        self.persistent_cache = persistent_cache
         self._pool: ProcessPoolExecutor | None = None
         #: cache key -> degraded Result for sources that exhausted their
         #: retries; served without dispatch, always ``cached=False``.
@@ -450,6 +454,8 @@ class TypecheckService:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
@@ -707,6 +713,10 @@ class TypecheckService:
         outcomes: dict[int, tuple[Result, float]],
         groups: deque[list[_Job]],
     ) -> None:
+        from concurrent.futures import CancelledError
+        from concurrent.futures import TimeoutError as _FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._aborted:
             self._abort_group(group, outcomes)
             return
@@ -716,19 +726,28 @@ class TypecheckService:
         survivors: list[_Job] = []
 
         pool = self._ensure_pool()
-        for position, job in enumerate(group):
-            try:
-                future = pool.submit(_check_in_worker, job.source)
-            except BrokenProcessPool:
-                # The pool died while we were still submitting: what we
-                # did submit is ambiguous (crash set), the rest never ran
-                # (survivors, retried without charge).
-                self.stats.crashes += 1
-                incident = "crash"
-                self._discard_pool()
-                survivors.extend(group[position:])
-                break
-            submitted.append((job, future))
+        # A fresh pool forks its workers on the first submit, and they
+        # inherit this thread's signal mask: with SIGTERM blocked, a
+        # SIGTERM that tears the pool down before `_init_worker` has
+        # cleared the inherited signal wiring stays pending in the
+        # worker instead of reaching the parent through it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            for position, job in enumerate(group):
+                try:
+                    future = pool.submit(_check_in_worker, job.source)
+                except BrokenProcessPool:
+                    # The pool died while we were still submitting: what
+                    # we did submit is ambiguous (crash set), the rest
+                    # never ran (survivors, retried without charge).
+                    self.stats.crashes += 1
+                    incident = "crash"
+                    self._discard_pool()
+                    survivors.extend(group[position:])
+                    break
+                submitted.append((job, future))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         for job, future in submitted:
             if incident is None:

@@ -6,10 +6,13 @@ names a directive: ``let chaos_crash = 0 in M`` exits the process,
 ``chaos_hang`` sleeps ``hang_seconds`` (then infers), ``chaos_raise``
 raises, and ``chaos_crash_once`` exits the first time only, guarded by
 an ``O_EXCL`` token file in ``token_dir``.  Every other program is
-inferred as usual, under the name ``freezeml``.  :func:`command` runs
-the CLI (``repro serve``, ``repro check``) with the engine installed.
+inferred as usual, under the name ``freezeml``.  With ``slow_start``,
+the second pool worker the process forks stays that many seconds
+between its fork and the pool initializer.  :func:`command` runs the
+CLI (``repro serve``, ``repro check``) with the engine installed.
 """
 
+import multiprocessing.util
 import os
 import sys
 import time
@@ -54,22 +57,39 @@ class ChaosEngine(FreezeMLEngine):
         return True
 
 
-def install(token_dir, hang_seconds: float = HANG_SECONDS) -> Engine:
+def install(
+    token_dir, hang_seconds: float = HANG_SECONDS, slow_start: float = 0.0
+) -> Engine:
     """Register a :class:`ChaosEngine` as ``freezeml``; returns the
     engine it replaced, for :func:`repro.engines.register_engine` to
     restore."""
     previous = get_engine("freezeml")
-    register_engine(ChaosEngine(token_dir, hang_seconds), replace=True)
+    engine = register_engine(ChaosEngine(token_dir, hang_seconds), replace=True)
+    if slow_start:
+        # Runs in each forked worker before the pool's initializer.
+        multiprocessing.util.register_after_fork(
+            engine, lambda chaos: _slow_start(chaos, slow_start)
+        )
     return previous
 
 
-def command(token_dir, argv: list[str], hang_seconds: float = HANG_SECONDS) -> list[str]:
+def _slow_start(engine: ChaosEngine, seconds: float) -> None:
+    if not engine._first("chaos_fast_start") and engine._first("chaos_slow_start"):
+        time.sleep(seconds)
+
+
+def command(
+    token_dir,
+    argv: list[str],
+    hang_seconds: float = HANG_SECONDS,
+    slow_start: float = 0.0,
+) -> list[str]:
     """The argv of a process running ``repro <argv>`` over a
     :class:`ChaosEngine`; launch it with ``PYTHONPATH=src:tests``."""
     return [
         sys.executable,
         "-c",
         f"import chaos_engine; chaos_engine.install({str(token_dir)!r}, "
-        f"{hang_seconds!r}); from repro.cli import main; "
+        f"{hang_seconds!r}, {slow_start!r}); from repro.cli import main; "
         f"raise SystemExit(main({list(argv)!r}))",
     ]

@@ -344,6 +344,17 @@ class TestServeFaultIsolation:
         # Forked workers inherit the server's signal wiring.  The pool
         # torn down after a crash sends its workers SIGTERM, which must
         # not reach the server's loop as a shutdown of its own.
+        self._serve_crash_once(tmp_path)
+
+    def test_sigterm_before_worker_init_does_not_stop_the_server(self, tmp_path):
+        # The second worker of the first pool is still between its fork
+        # and the pool initializer when the first one crashes and the
+        # pool is torn down, so its SIGTERM arrives before the inherited
+        # wiring is cleared.
+        self._serve_crash_once(tmp_path, slow_start=1.0)
+
+    @staticmethod
+    def _serve_crash_once(tmp_path, slow_start: float = 0.0) -> None:
         import os
         import signal
         import subprocess
@@ -356,11 +367,13 @@ class TestServeFaultIsolation:
                 tmp_path,
                 ["serve", "--port", "0", "--jobs", "2", "--timeout", "0.5",
                  "--no-persist"],
+                slow_start=slow_start,
             ),
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONPATH": "src:tests"},
             cwd=Path(__file__).resolve().parent.parent,
+            start_new_session=True,
         )
         try:
             banner = process.stdout.readline()
@@ -378,6 +391,14 @@ class TestServeFaultIsolation:
             assert stats["classes"]["default"]["crashes"] >= 1
         finally:
             process.send_signal(signal.SIGTERM)
-        out, _ = process.communicate(timeout=30)
+            try:
+                out, _ = process.communicate(timeout=30)
+            finally:
+                # Whatever happened, leave no server or worker behind.
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                process.wait()
         assert process.returncode == 0
         assert "drained clean" in out

@@ -99,7 +99,7 @@ class TestDeepZonk:
         with recursion_limit(256):
             solved = state.zonk(TVar(names[0]))
         assert solved == arrow_tower(DEPTH - 1, INT)
-        # Repeat zonks hit the global memo (same interned node).
+        # A repeat zonk rebuilds the same interned node.
         assert state.zonk(TVar(names[0])) is solved
 
     def test_deep_tower_wellformedness_and_occurs(self):

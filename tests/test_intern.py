@@ -3,7 +3,7 @@
 The intern tables in :mod:`repro.core.types` guarantee that two
 structurally equal type nodes are the *same object* -- that is the
 substrate for the solver's identity fast paths (``left is right`` in
-``_unify``, the zonk/apply memos, shared ``ftv`` caches).  These tests
+``_unify``, the ``Subst.apply`` memo, shared ``ftv`` caches).  These tests
 pin down both directions of the invariant and the weak-table lifecycle
 (nodes die with their last owner; the tables do not grow without bound
 across solver runs).

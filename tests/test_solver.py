@@ -251,7 +251,7 @@ class TestUnifyApp:
     @pytest.mark.parametrize("limit", range(1, 24))
     def test_budgets_charge_as_plain_unification(self, limit):
         # Same result, same fuel spent, same FML901/FML902 point, and a
-        # later zonk spends the same steps (the bind emptied the memos).
+        # later zonk spends the same steps (the bind emptied the clean set).
         fn = arrow(arrow(TVar("x"), TVar("y")), list_of(TVar("y")))
         arg = arrow(t("Bool"), TVar("z"))
         kinds = {"x": "poly", "y": "poly", "z": "poly"}
